@@ -851,20 +851,19 @@ let sym_verify () =
     (run_bechamel (List.concat_map chain_tests compiled @ synth_tests))
 
 (* ------------------------------------------------------------------ *)
-(* Event-heap engine: the heap event core vs the linear-scan oracle at
-   fleet scale. The scan loop re-walks every device on every event
-   (O(pool) per event), the heap engine pays O(log pool); at 1k devices
-   the gap is the tentpole's whole point, so the ratio is printed and
-   both engines' runs are persisted to BENCH_fleet_event.json for the
-   perf-trajectory gate. *)
+(* Event-heap engine at fleet scale: the heap event core vs a
+   linear-scan event core, and end-to-end serve. A scan loop re-walks
+   every device on every event (O(pool) per event), the heap pays
+   O(log pool); at 1k devices the ratio is printed and the runs are
+   persisted to BENCH_fleet_event.json for the perf-trajectory gate. *)
 (* ------------------------------------------------------------------ *)
 
-(* The event core in isolation: the exact per-event work the two
-   engines disagree on. The scan loop re-derives the next device event
-   by an argmin walk over the whole pool; the heap engine peeks the
-   root and re-keys one handle. Everything else serve does (admission,
-   launches, value computation) is engine-independent, so this pair is
-   the event-loop throughput the tentpole claims. *)
+(* The event core in isolation: the per-event work an event loop
+   spends finding the next device event. A scan loop re-derives it by
+   an argmin walk over the whole pool; the heap peeks the root and
+   re-keys one handle. Everything else serve does (admission, launches,
+   value computation) is the same either way, so this pair is the
+   event-loop throughput in isolation. *)
 let event_core_heap ~devices ~events =
   let cmp (t1, d1) (t2, d2) =
     let c = Float.compare t1 t2 in
@@ -899,7 +898,7 @@ let event_core_scan ~devices ~events =
   !last
 
 let fleet_event () =
-  section "FLEET_EVENT" "Event-heap engine vs linear-scan oracle, 1k devices";
+  section "FLEET_EVENT" "Event-heap engine vs a linear-scan core, 1k devices";
   let devices = 1000 in
   let events = 200_000 in
   let timed f =
@@ -920,11 +919,8 @@ let fleet_event () =
     tc_scan
     (float_of_int events /. tc_scan)
     (tc_scan /. tc_heap);
-  (* End to end, the gain is diluted: computing every request's
-     (bit-identical) result dominates serve wall-clock and is the same
-     work on both engines. Measured anyway — this is the realized
-     number, and the identity check doubles as a scale-sized
-     differential. *)
+  (* End to end, computing every request's (bit-identical) result
+     dominates serve wall-clock, not event handling. *)
   let tenants =
     [ Traffic.tenant ~rate:7000.0 ~weight:1.0 ~batch:8 ~queue_cap:100_000
         (Option.get (W.find "PR")) ]
@@ -934,32 +930,15 @@ let fleet_event () =
   let opts = { Fleet.default_opts with Fleet.o_devices = devices } in
   let requests = Traffic.requests ~seed ~horizon:5.0 tenants in
   let n = List.length requests in
-  let serve engine = Fleet.serve ~opts ~engine apps requests in
-  let oc_heap = ref None and oc_scan = ref None in
-  let t_heap = timed (fun () -> oc_heap := Some (serve Fleet.Heap)) in
-  let t_scan = timed (fun () -> oc_scan := Some (serve Fleet.Scan)) in
-  (match (!oc_heap, !oc_scan) with
-  | Some h, Some s ->
-    if
-      not
-        (String.equal
-           (Fleet.report_to_string h.Fleet.oc_report)
-           (Fleet.report_to_string s.Fleet.oc_report))
-    then failwith "fleet_event: heap and scan reports diverged"
-  | _ -> assert false);
+  let t_heap = timed (fun () -> Fleet.serve ~opts apps requests) in
   Printf.printf
-    "end-to-end serve, %d devices, %d requests (identical reports):\n\
-    \  heap %8.2f s  (%9.0f req/s)\n\
-    \  scan %8.2f s  (%9.0f req/s)\n\
-    \  end-to-end speedup %.1fx (value computation dominates both)\n"
+    "end-to-end serve, %d devices, %d requests:\n\
+    \  heap %8.2f s  (%9.0f req/s)\n"
     devices n t_heap
-    (float_of_int n /. t_heap)
-    t_scan
-    (float_of_int n /. t_scan)
-    (t_scan /. t_heap);
-  (* The persisted trajectory carries both granularities; the serve
-     pair uses a smaller stream so Bechamel can afford several scan
-     runs inside its quota. *)
+    (float_of_int n /. t_heap);
+  (* The persisted trajectory carries both granularities; the serve row
+     uses a smaller stream so Bechamel can afford several runs inside
+     its quota. *)
   let small = Traffic.requests ~seed ~horizon:1.0 tenants in
   let open Bechamel in
   persist_trajectory "fleet_event"
@@ -971,11 +950,7 @@ let fleet_event () =
            (Staged.stage (fun () ->
                 event_core_scan ~devices ~events:50_000));
          Test.make ~name:"serve.heap-1k"
-           (Staged.stage (fun () ->
-                Fleet.serve ~opts ~engine:Fleet.Heap apps small));
-         Test.make ~name:"serve.scan-1k"
-           (Staged.stage (fun () ->
-                Fleet.serve ~opts ~engine:Fleet.Scan apps small)) ])
+           (Staged.stage (fun () -> Fleet.serve ~opts apps small)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Federation: the same two-tenant stream served by one 4-device pool

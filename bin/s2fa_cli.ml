@@ -42,6 +42,7 @@ module Resultdb = S2fa_tuner.Resultdb
 module Rng = S2fa_util.Rng
 module Telemetry = S2fa_telemetry.Telemetry
 module Trace = S2fa_telemetry.Trace
+module Envelope = S2fa_telemetry.Envelope
 module Fault = S2fa_fault.Fault
 module Fuzz = S2fa_fuzz.Fuzz
 module Sym = S2fa_sym.Sym
@@ -422,73 +423,80 @@ let deadline_requests slo_ms requests =
   | None -> requests
   | Some ms -> Fleet.with_deadline (ms /. 1000.0) requests
 
+(* Typed reads of a checkpoint's meta pairs. A value that does not
+   parse names its key and exits 1, like every other bad input. *)
+let meta_num what parse meta k =
+  Option.map
+    (fun s ->
+      match parse s with
+      | Some v -> v
+      | None ->
+        Printf.eprintf "bad checkpoint meta %s: %S is not %s\n" k s what;
+        exit 1)
+    (List.assoc_opt k meta)
+
+let meta_int = meta_num "an integer" int_of_string_opt
+let meta_float = meta_num "a number" float_of_string_opt
+
 (* Recover a mid-serve snapshot: rebuild the scenario from the
    checkpoint's meta, then replay-validate and run to completion. *)
-let resume_fleet path =
-  match Fleet.load_checkpoint path with
-  | Error m ->
+let resume_fleet path snapshot =
+  let m = snapshot.Fleet.fk_meta in
+  let meta k = List.assoc_opt k m in
+  let str k d = Option.value ~default:d (meta k) in
+  let int_of k d = Option.value ~default:d (meta_int m k) in
+  let float_of k d = Option.value ~default:d (meta_float m k) in
+  let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
+  let seed = int_of "seed" 7 in
+  let tenants = parse_tenants (str "apps" "KMeans:400,LR:300") batch
+                  queue_cap in
+  let policy = parse_policy (str "policy" "fcfs") in
+  let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
+  let slo =
+    slo_of
+      ~hang_factor:(meta_float m "hang_factor")
+      ~hedge:(meta "hedge" = Some "true")
+      ~breaker:(meta "breaker" = Some "true")
+      ~bk_failures:
+        (int_of "breaker_failures" Fleet.default_breaker.Fleet.bk_failures)
+      ~bk_cooldown:
+        (float_of "breaker_cooldown_s"
+           Fleet.default_breaker.Fleet.bk_cooldown_s)
+      ~bk_probes:
+        (int_of "breaker_probes" Fleet.default_breaker.Fleet.bk_probes)
+  in
+  let opts =
+    { Fleet.default_opts with
+      o_policy = policy;
+      o_devices = int_of "devices" 2;
+      o_slo = slo }
+  in
+  let apps = Traffic.apps ~seed tenants in
+  let requests =
+    deadline_requests
+      (meta_float m "slo_ms")
+      (Traffic.requests ~seed ~horizon:(float_of "horizon" 1.0) tenants)
+  in
+  let checkpoint =
+    (* Keep refreshing the same file past the recovered snapshot. *)
+    { Fleet.cks_path = path;
+      cks_every_s = snapshot.Fleet.fk_every;
+      cks_meta = snapshot.Fleet.fk_meta }
+  in
+  (match
+     Fleet.resume ~opts ?faults ~checkpoint ~snapshot apps requests
+   with
+  | exception Fleet.Fleet_error m ->
     Printf.eprintf "%s\n" m;
     exit 1
-  | Ok snapshot ->
-    let meta k = List.assoc_opt k snapshot.Fleet.fk_meta in
-    let str k d = Option.value ~default:d (meta k) in
-    let int_of k d =
-      match meta k with Some s -> int_of_string s | None -> d
-    in
-    let float_of k d =
-      match meta k with Some s -> float_of_string s | None -> d
-    in
-    let batch = int_of "batch" 16 and queue_cap = int_of "queue_cap" 64 in
-    let seed = int_of "seed" 7 in
-    let tenants = parse_tenants (str "apps" "KMeans:400,LR:300") batch
-                    queue_cap in
-    let policy = parse_policy (str "policy" "fcfs") in
-    let faults = Option.map (fun s -> make_injector ~seed s) (meta "faults") in
-    let slo =
-      slo_of
-        ~hang_factor:(Option.map float_of_string (meta "hang_factor"))
-        ~hedge:(meta "hedge" = Some "true")
-        ~breaker:(meta "breaker" = Some "true")
-        ~bk_failures:
-          (int_of "breaker_failures" Fleet.default_breaker.Fleet.bk_failures)
-        ~bk_cooldown:
-          (float_of "breaker_cooldown_s"
-             Fleet.default_breaker.Fleet.bk_cooldown_s)
-        ~bk_probes:
-          (int_of "breaker_probes" Fleet.default_breaker.Fleet.bk_probes)
-    in
-    let opts =
-      { Fleet.default_opts with
-        o_policy = policy;
-        o_devices = int_of "devices" 2;
-        o_slo = slo }
-    in
-    let apps = Traffic.apps ~seed tenants in
-    let requests =
-      deadline_requests
-        (Option.map float_of_string (meta "slo_ms"))
-        (Traffic.requests ~seed ~horizon:(float_of "horizon" 1.0) tenants)
-    in
-    let checkpoint =
-      (* Keep refreshing the same file past the recovered snapshot. *)
-      { Fleet.cks_path = path;
-        cks_every_s = snapshot.Fleet.fk_every;
-        cks_meta = snapshot.Fleet.fk_meta }
-    in
-    (match
-       Fleet.resume ~opts ?faults ~checkpoint ~snapshot apps requests
-     with
-    | exception Fleet.Fleet_error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
-    | outcome ->
-      Printf.printf
-        "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
-        path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
-      print_string (Fleet.report_to_string outcome.Fleet.oc_report);
-      match faults with
-      | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
-      | None -> ())
+  | outcome ->
+    Printf.printf
+      "# resumed fleet serve from %s at %.3f virtual seconds (%d events)\n"
+      path snapshot.Fleet.fk_now snapshot.Fleet.fk_events;
+    print_string (Fleet.report_to_string outcome.Fleet.oc_report);
+    match faults with
+    | Some f -> Format.printf "# faults: %a@." Fault.pp_stats (Fault.stats f)
+    | None -> ())
 
 let resume_cmd =
   let ck_file_arg =
@@ -498,22 +506,31 @@ let resume_cmd =
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CHECKPOINT" ~doc)
   in
+  let die m =
+    Printf.eprintf "%s\n" m;
+    exit 1
+  in
+  (* One load; the parsed header's tag picks the resumer. *)
   let run path =
-    if Fleet.is_fleet_checkpoint path then resume_fleet path
-    else
-    match Driver.load_checkpoint path with
-    | Error m ->
-      Printf.eprintf "%s\n" m;
-      exit 1
+    match Envelope.load path with
+    | Error m -> die m
+    | Ok env when env.Envelope.kind = Fleet.checkpoint_kind -> (
+      match Fleet.snapshot_of_envelope env with
+      | Error m -> die m
+      | Ok snapshot -> resume_fleet path snapshot)
+    | Ok env ->
+    match Driver.ck_of_envelope env with
+    | Error m -> die m
     | Ok snapshot ->
       let meta k = List.assoc_opt k snapshot.Driver.ck_meta in
       let workload = meta "workload" in
       let file = meta "file" in
       let seed =
-        match meta "seed" with Some s -> int_of_string s | None -> 7
+        Option.value ~default:7 (meta_int snapshot.Driver.ck_meta "seed")
       in
       let minutes =
-        match meta "minutes" with Some s -> float_of_string s | None -> 240.0
+        Option.value ~default:240.0
+          (meta_float snapshot.Driver.ck_meta "minutes")
       in
       let shared_db = meta "shared_db" = Some "true" in
       let faults = Option.map (make_injector ~seed) (meta "faults") in
@@ -531,9 +548,7 @@ let resume_cmd =
       (match
          S2fa.resume ~opts ?db ?faults ~checkpoint ~snapshot c rng
        with
-      | Error m ->
-        Printf.eprintf "%s\n" m;
-        exit 1
+      | Error m -> die m
       | Ok result ->
         Printf.printf "# resumed %s flow from %s at %.1f virtual minutes\n"
           snapshot.Driver.ck_flow path snapshot.Driver.ck_minutes;

@@ -13,6 +13,7 @@ module Telemetry = S2fa_telemetry.Telemetry
 module Obs = S2fa_obs.Obs
 module Fault = S2fa_fault.Fault
 module Json = S2fa_telemetry.Telemetry.Json
+module Envelope = S2fa_telemetry.Envelope
 
 type event = {
   ev_minutes : float;
@@ -228,10 +229,11 @@ type ck = {
    significant digits, quoted non-finite values), so serializing the
    regenerated state of a deterministic re-run reproduces the stored
    file byte for byte — which is exactly how resume validation works. *)
+let ck_kind = "header"
+
 let ck_lines ck =
   let header =
-    Printf.sprintf
-      "{\"ck\":\"header\",\"flow\":%s,\"every\":%s,\"min\":%s,\"evals\":%d%s,\"cores\":[%s]}"
+    Printf.sprintf "\"flow\":%s,\"every\":%s,\"min\":%s,\"evals\":%d%s,\"cores\":[%s]"
       (Json.quote ck.ck_flow) (Json.fstr ck.ck_every) (Json.fstr ck.ck_minutes)
       ck.ck_evals
       (match ck.ck_best with
@@ -240,13 +242,6 @@ let ck_lines ck =
         Printf.sprintf ",\"best\":%s,\"bestq\":%s" (Json.quote k) (Json.fstr q))
       (String.concat ","
          (Array.to_list (Array.map Json.fstr ck.ck_core_time)))
-  in
-  let meta =
-    List.map
-      (fun (k, v) ->
-        Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (Json.quote k)
-          (Json.quote v))
-      ck.ck_meta
   in
   let dbl =
     List.map
@@ -265,101 +260,53 @@ let ck_lines ck =
           (Json.fstr t.ct_entropy))
       ck.ck_tuners
   in
-  let body = (header :: meta) @ dbl @ tl in
-  body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
+  Envelope.render ~kind:ck_kind ~header ~meta:ck.ck_meta (dbl @ tl)
 
-let ck_of_lines lines =
-  let lines =
-    List.filter (fun l -> l <> "") (List.map String.trim lines)
-  in
-  try
-    let parsed = List.map Json.parse_obj lines in
-    let rec split acc = function
-      | [] -> Error "checkpoint missing its end marker (truncated write?)"
-      | [ last ] ->
-        if Json.get_str last "ck" = "end" then
-          Ok (List.rev acc, Json.get_int last "lines")
-        else Error "checkpoint missing its end marker (truncated write?)"
-      | x :: rest -> split (x :: acc) rest
-    in
-    match split [] parsed with
-    | Error _ as e -> e
-    | Ok (body, n) ->
-      if List.length body <> n then
-        Error "checkpoint truncated: line count does not match its end marker"
-      else (
-        match body with
-        | [] -> Error "checkpoint has no header line"
-        | header :: rest ->
-          if Json.get_str header "ck" <> "header" then
-            Error "first checkpoint line is not the header"
-          else begin
-            let best =
-              match Json.find header "best" with
-              | Some (Json.Jstr k) -> Some (k, Json.get_float header "bestq")
-              | _ -> None
-            in
-            let meta = ref [] and dbl = ref [] and tl = ref [] in
-            List.iter
-              (fun fields ->
-                match Json.get_str fields "ck" with
-                | "meta" ->
-                  meta :=
-                    (Json.get_str fields "k", Json.get_str fields "v") :: !meta
-                | "db" ->
-                  dbl :=
-                    ( Json.get_str fields "cfg",
-                      { Resultdb.e_perf = Json.get_float fields "q";
-                        e_feasible = Json.get_bool fields "feas";
-                        e_minutes = Json.get_float fields "emin" } )
-                    :: !dbl
-                | "tuner" ->
-                  tl :=
-                    { ct_partition = Json.get_int fields "part";
-                      ct_evaluated = Json.get_int fields "evals";
-                      ct_best = Json.get_float fields "best";
-                      ct_entropy = Json.get_float fields "entropy" }
-                    :: !tl
-                | k -> failwith (Printf.sprintf "unknown checkpoint line %S" k))
-              rest;
-            Ok
-              { ck_flow = Json.get_str header "flow";
-                ck_every = Json.get_float header "every";
-                ck_minutes = Json.get_float header "min";
-                ck_evals = Json.get_int header "evals";
-                ck_best = best;
-                ck_core_time = Array.of_list (Json.get_arr header "cores");
-                ck_db = List.rev !dbl;
-                ck_tuners = List.rev !tl;
-                ck_meta = List.rev !meta }
-          end)
-  with
-  | Json.Bad -> Error "malformed checkpoint JSON"
-  | Failure m -> Error m
+let ck_of_envelope (env : Envelope.t) =
+  if env.Envelope.kind <> ck_kind then
+    Error "first checkpoint line is not the header"
+  else
+    let header = env.Envelope.header in
+    try
+      let dbl, tl =
+        List.partition_map
+          (fun fields ->
+            match Json.get_str fields "ck" with
+            | "db" ->
+              Left
+                ( Json.get_str fields "cfg",
+                  { Resultdb.e_perf = Json.get_float fields "q";
+                    e_feasible = Json.get_bool fields "feas";
+                    e_minutes = Json.get_float fields "emin" } )
+            | "tuner" ->
+              Right
+                { ct_partition = Json.get_int fields "part";
+                  ct_evaluated = Json.get_int fields "evals";
+                  ct_best = Json.get_float fields "best";
+                  ct_entropy = Json.get_float fields "entropy" }
+            | k -> failwith (Printf.sprintf "unknown checkpoint line %S" k))
+          env.Envelope.body
+      in
+      Ok
+        { ck_flow = Json.get_str header "flow";
+          ck_every = Json.get_float header "every";
+          ck_minutes = Json.get_float header "min";
+          ck_evals = Json.get_int header "evals";
+          ck_best =
+            (match Json.find header "best" with
+            | Some (Json.Jstr k) -> Some (k, Json.get_float header "bestq")
+            | _ -> None);
+          ck_core_time = Array.of_list (Json.get_arr header "cores");
+          ck_db = dbl;
+          ck_tuners = tl;
+          ck_meta = env.Envelope.meta }
+    with
+    | Json.Bad -> Error "malformed checkpoint JSON"
+    | Failure m -> Error m
 
-let write_checkpoint path ck =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    (ck_lines ck);
-  close_out oc;
-  Sys.rename tmp path
-
-let load_checkpoint path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    let rec read acc =
-      match input_line ic with
-      | line -> read (line :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = read [] in
-    close_in ic;
-    ck_of_lines lines
+let ck_of_lines lines = Result.bind (Envelope.of_lines lines) ck_of_envelope
+let write_checkpoint path ck = Envelope.write path (ck_lines ck)
+let load_checkpoint path = Result.bind (Envelope.load path) ck_of_envelope
 
 type ck_opts = {
   ck_path : string option;

@@ -108,16 +108,20 @@ type ck = {
 }
 
 val ck_lines : ck -> string list
-(** JSONL encoding: header, meta, db and tuner lines, then an [end]
-    marker carrying the body line count (the truncation guard). Floats
-    use {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
+(** JSONL encoding in the {!S2fa_telemetry.Envelope}: a [header]-tagged
+    header line, meta lines, then db and tuner records. Floats use
+    {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
+
+val ck_of_envelope : S2fa_telemetry.Envelope.t -> (ck, string) result
+(** Decode a loaded envelope; rejects any kind but [header] and unknown
+    or malformed records. Never raises. *)
 
 val ck_of_lines : string list -> (ck, string) result
 (** Inverse of {!ck_lines}; rejects truncated or malformed input. *)
 
 val write_checkpoint : string -> ck -> unit
-(** Serialize to a file, atomically (write-to-temp then rename), so a
-    crash mid-write never leaves a torn checkpoint behind. *)
+(** Serialize to a file through {!S2fa_telemetry.Envelope.write}
+    (write-to-temp then rename). *)
 
 val load_checkpoint : string -> (ck, string) result
 

@@ -230,7 +230,7 @@ let retune_rng seed ti epoch =
     (((seed * 0x3779_97f5) lxor ((ti + 1) * 0x9e37_79b9))
     lxor ((epoch + 1) * 0x2545_f491_4f6c_dd1d))
 
-let serve ?(opts = default_opts) ?engine ?trace ~clusters tenants requests =
+let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
   Obs.span "federation.serve" @@ fun () ->
   check_clusters clusters;
   check_autoscale clusters opts.fd_autoscale;
@@ -277,7 +277,7 @@ let serve ?(opts = default_opts) ?engine ?trace ~clusters tenants requests =
           | Some spec ->
               Some (Fault.create ~seed:((opts.fd_seed * 7919) + 17 + ci) spec)
         in
-        let sim = Fleet.make_sim ~opts:fopts ?engine ?trace ?faults apps [] in
+        let sim = Fleet.make_sim ~opts:fopts ?trace ?faults apps [] in
         (match opts.fd_autoscale with
         | Some _ ->
             for _ = c.cl_devices + 1 to pool_size ci do

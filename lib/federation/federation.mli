@@ -199,7 +199,6 @@ type outcome = {
 
 val serve :
   ?opts:opts ->
-  ?engine:S2fa_fleet.Fleet.engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   clusters:cluster list ->
   tenant list ->

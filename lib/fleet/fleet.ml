@@ -9,6 +9,7 @@ module Blaze = S2fa_blaze.Blaze
 module Serde = S2fa_blaze.Serde
 module Telemetry = S2fa_telemetry.Telemetry
 module Json = S2fa_telemetry.Telemetry.Json
+module Envelope = S2fa_telemetry.Envelope
 module Obs = S2fa_obs.Obs
 module Fault = S2fa_fault.Fault
 
@@ -236,28 +237,15 @@ end
 (* The discrete-event simulator *)
 (* ------------------------------------------------------------------ *)
 
-(* Two event engines compute the same simulation. [Heap] (the default)
-   keeps every future event in indexed binary min-heaps; [Scan] is the
-   original O(devices)-per-event linear rescan, retained as a
-   differential oracle — the heap keys form a total order that encodes
-   exactly the scan loop's tie-breaks, so the two engines must produce
-   byte-identical reports, telemetry, and checkpoints on any input. *)
-type engine = Heap | Scan
-
-let engine_of_env () =
-  match Sys.getenv_opt "S2FA_FLEET_ENGINE" with
-  | Some "scan" -> Scan
-  | Some "heap" | None -> Heap
-  | Some other ->
-    fail "unknown S2FA_FLEET_ENGINE %S (expected \"heap\" or \"scan\")" other
-
-(* Heap-engine event payloads. The key carries
-   (time, kind_rank, i, j): rank 0 = the head arrival, rank 1 = a
-   device's next completion/timeout/loss (i = device index), rank 2 = a
-   pending JVM completion (i, j = app, request id) — the same fixed
-   priority the scan loop applies on equal times. Breaker reopens live
-   in a separate heap because their visibility is gated on pending
-   work (see the event loop). *)
+(* Every future event lives in indexed binary min-heaps. Event payloads
+   are keyed (time, kind_rank, i, j): rank 0 = the head arrival, rank 1
+   = a device's next completion/timeout/loss (i = device index), rank 2
+   = a pending JVM completion (i, j = app, request id). That total order
+   is the fixed tie-break on equal times — arrivals, then the
+   lowest-index device, then JVM completions in (t, app, id) order — so
+   simultaneous events replay identically. Breaker reopens live in a
+   separate heap because their visibility is gated on pending work (see
+   the event loop). *)
 type ev =
   | Ev_arrival
   | Ev_device of int
@@ -327,8 +315,8 @@ let request_order a b =
   compare (a.rq_arrival, a.rq_app, a.rq_id) (b.rq_arrival, b.rq_app, b.rq_id)
 
 (* ------------------------------------------------------------------ *)
-(* Mid-serve checkpoints (the PR-3 JSONL discipline: atomic writes, a
-   truncation-guard end marker, and replay-based resume validation) *)
+(* Mid-serve checkpoints (the shared [Envelope]: atomic writes, a
+   truncation-guard end marker; resume validates by replay) *)
 (* ------------------------------------------------------------------ *)
 
 type ck_spec = {
@@ -348,64 +336,27 @@ type snapshot = {
   fk_lines : string list;
 }
 
-let read_all_lines path =
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read [] in
-  close_in ic;
-  List.filter (fun l -> String.trim l <> "") lines
+let checkpoint_kind = "fleet"
 
-let is_fleet_checkpoint path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    (try Json.get_str (Json.parse_obj line) "ck" = "fleet" with _ -> false)
+let snapshot_of_envelope (env : Envelope.t) =
+  if env.Envelope.kind <> checkpoint_kind then
+    Error "not a fleet checkpoint (header line is not ck=fleet)"
+  else
+    let header = env.Envelope.header in
+    try
+      Ok
+        { fk_events = Json.get_int header "events";
+          fk_now = Json.get_float header "now";
+          fk_every = Json.get_float header "every";
+          fk_policy = Json.get_str header "policy";
+          fk_devices = Json.get_int header "devices";
+          fk_apps = Json.get_int header "apps";
+          fk_meta = env.Envelope.meta;
+          fk_lines = env.Envelope.lines }
+    with Json.Bad | Failure _ -> Error "malformed fleet checkpoint header"
 
 let load_checkpoint path =
-  match read_all_lines path with
-  | exception Sys_error m -> Error m
-  | lines -> (
-    try
-      let parsed = List.map Json.parse_obj lines in
-      match List.rev parsed with
-      | [] -> Error "empty fleet checkpoint file"
-      | last :: _ ->
-        if (try Json.get_str last "ck" with Json.Bad -> "") <> "end" then
-          Error "fleet checkpoint missing its end marker (truncated write?)"
-        else if Json.get_int last "lines" <> List.length lines - 1 then
-          Error
-            "fleet checkpoint truncated: line count does not match its end \
-             marker"
-        else (
-          match parsed with
-          | header :: rest
-            when (try Json.get_str header "ck" with Json.Bad -> "") = "fleet"
-            ->
-            let meta =
-              List.filter_map
-                (fun f ->
-                  if (try Json.get_str f "ck" with Json.Bad -> "") = "meta"
-                  then Some (Json.get_str f "k", Json.get_str f "v")
-                  else None)
-                rest
-            in
-            Ok
-              { fk_events = Json.get_int header "events";
-                fk_now = Json.get_float header "now";
-                fk_every = Json.get_float header "every";
-                fk_policy = Json.get_str header "policy";
-                fk_devices = Json.get_int header "devices";
-                fk_apps = Json.get_int header "apps";
-                fk_meta = meta;
-                fk_lines = lines }
-          | _ -> Error "not a fleet checkpoint (header line is not ck=fleet)")
-    with Json.Bad -> Error "malformed fleet checkpoint JSON")
+  Result.bind (Envelope.load path) snapshot_of_envelope
 
 (* ------------------------------------------------------------------ *)
 (* Serving *)
@@ -437,7 +388,7 @@ type sim = {
   s_finish : unit -> outcome;
 }
 
-let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
+let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     (apps : app array) requests =
   if opts.o_devices < 1 then fail "need at least one device";
   check_apps apps;
@@ -478,16 +429,14 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
           d_state = Healthy;
           d_reopen = infinity })
   in
-  let heap_mode = engine = Heap in
-  (* Heap-engine state. [ev_heap] holds the head arrival, one entry per
-     busy device, and every pending JVM completion; [reopen_heap] one
-     entry per quarantined-alive device; [idle_heap] the free-list of
-     schedulable idle devices (keyed by index — the scan walk's order).
-     The side tables keep device -> handle in O(1). [sync d], installed
-     only in heap mode, re-derives device d's membership in all three
-     heaps from [devs] and is called after every mutation of a device's
-     schedulable state — heap maintenance lives here, in one place, so
-     the shared handlers stay engine-agnostic. *)
+  (* Event state. [ev_heap] holds the head arrival, one entry per busy
+     device, and every pending JVM completion; [reopen_heap] one entry
+     per quarantined-alive device; [idle_heap] the free-list of
+     schedulable idle devices (keyed by index, lowest first). The side
+     tables keep device -> handle in O(1). [refresh_device d]
+     re-derives device d's membership in all three heaps from [devs]
+     and is called after every mutation of a device's schedulable state
+     — heap maintenance lives here, in one place. *)
   (* Monomorphic comparators: polymorphic [Stdlib.compare] on tuple
      keys is the sift path's whole cost at fleet scale. *)
   let ev_cmp (t1, r1, i1, j1) (t2, r2, i2, j2) =
@@ -513,7 +462,6 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   let idle_h = Array.make opts.o_devices None in
   let reo_h = Array.make opts.o_devices None in
   let arr_h = ref None in
-  let sync = ref (fun (_ : int) -> ()) in
   let refresh_device d =
     let dev = devs.(d) in
     (match dev.d_busy with
@@ -613,12 +561,9 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   let total_queued = ref 0 in
   let n_alive = ref opts.o_devices in
   let n_routable = ref opts.o_devices in
-  (* Completed-but-not-yet-collected JVM executions, ordered like the
-     arrival stream so simultaneous completions resolve identically
-     across runs. The scan engine keeps them in a sorted list (O(n) per
-     merge); the heap engine files them in [ev_heap] under rank 2 with
-     the same (t, app, id) ordering. *)
-  let jvm_pending = ref [] in
+  (* Completed-but-not-yet-collected JVM executions wait in [ev_heap]
+     under rank 2, ordered like the arrival stream — (t, app, id) — so
+     simultaneous completions resolve identically across runs. *)
   let jvm_order (ta, ra, _) (tb, rb, _) =
     compare (ta, ra.rq_app, ra.rq_id) (tb, rb.rq_app, rb.rq_id)
   in
@@ -631,13 +576,10 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     clocked
       (Telemetry.Serve_fallback
          { app = a.ap_name; request = r.rq_id; reason });
-    let entry = (start +. tr.Blaze.tr_seconds, r, tr.Blaze.tr_values.(0)) in
-    if heap_mode then
-      ignore
-        (Pheap.insert ev_heap
-           (start +. tr.Blaze.tr_seconds, 2, r.rq_app, r.rq_id)
-           (Ev_jvm entry))
-    else jvm_pending := List.merge jvm_order [ entry ] !jvm_pending
+    let t = start +. tr.Blaze.tr_seconds in
+    ignore
+      (Pheap.insert ev_heap (t, 2, r.rq_app, r.rq_id)
+         (Ev_jvm (t, r, tr.Blaze.tr_values.(0))))
   in
   let alive_devices () = !n_alive in
   (* A quarantined device is alive but not schedulable: the breaker
@@ -665,7 +607,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
        | _, Quarantined -> decr n_routable
        | _ -> ());
     dev.d_state <- st;
-    !sync d
+    refresh_device d
   in
   let breaker_failure d =
     match opts.o_slo.sl_breaker with
@@ -675,7 +617,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       let quarantine () =
         set_bstate d Quarantined;
         dev.d_reopen <- !now +. c.bk_cooldown_s;
-        !sync d
+        refresh_device d
       in
       match dev.d_state with
       | Healthy ->
@@ -880,7 +822,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
           b_lost = lost;
           b_group = group;
           b_hedged = hedge_from <> None };
-    !sync d
+    refresh_device d
   in
   let rec launch d a =
     Obs.span "fleet.launch" @@ fun () ->
@@ -904,16 +846,9 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       match pick d with Some a' -> launch d a' | None -> ())
     | _ -> launch_batch ~hedge_from:None d a keep
   in
-  let try_dispatch_scan () =
-    Array.iteri
-      (fun d dev ->
-        if routable dev && dev.d_busy = None then
-          match pick d with Some a -> launch d a | None -> ())
-      devs
-  in
-  let try_dispatch_heap () =
-    (* O(ready), not O(pool): pop idle devices (lowest index first, the
-       scan walk's direction) while any work is queued. Every policy
+  let try_dispatch () =
+    (* O(ready), not O(pool): pop idle devices (lowest index first)
+       while any work is queued. Every policy
        returns [Some app] whenever any queue is non-empty, so a popped
        device always launches — unless its launch sheds the whole
        backlog, which zeroes [total_queued] and ends the loop with the
@@ -927,9 +862,6 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         (match pick d with Some a -> launch d a | None -> ());
         refresh_device d
     done
-  in
-  let try_dispatch () =
-    if heap_mode then try_dispatch_heap () else try_dispatch_scan ()
   in
   let drain_to_jvm () =
     (* Graceful degradation's last resort: with the whole pool gone,
@@ -1017,7 +949,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     let a = b.b_app in
     let n = List.length b.b_reqs in
     devs.(d).d_busy <- None;
-    !sync d;
+    refresh_device d;
     requeued := !requeued + n;
     served.(a) <- served.(a) - n;
     dq_push_front queues.(a) b.b_reqs;
@@ -1049,7 +981,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       (* Another copy is still running and will deliver; abandon this
          one without touching the queue. *)
       devs.(d).d_busy <- None;
-      !sync d
+      refresh_device d
     | None ->
       let hedge_to =
         if not opts.o_slo.sl_hedge then None
@@ -1072,7 +1004,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
            moves the primary's event key {e later} — the general-update
            case of the heap, not a decrease-key. *)
         devs.(d).d_busy <- Some { b with b_timeout = infinity; b_hedged = true };
-        !sync d;
+        refresh_device d;
         launch_batch ~hedge_from:(Some d) d2 a b.b_reqs
       | None -> cancel_requeue d b));
     try_dispatch ()
@@ -1094,7 +1026,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         dev.d_busy <- None;
         decr n_alive;
         if dev.d_state <> Quarantined then decr n_routable;
-        !sync d;
+        refresh_device d;
         incr devices_lost;
         clocked (Telemetry.Core_lost { core = d; partition = -1 });
         (match twin_of d b.b_group with
@@ -1123,14 +1055,14 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         now := b.b_done;
         Obs.set_clock (!now /. 60.0);
         dev.d_busy <- None;
-        !sync d;
+        refresh_device d;
         (* First result wins: the loser of a hedged pair is cancelled
            the moment the winner completes. *)
         (if b.b_hedged then
            match twin_of d b.b_group with
            | Some d2 ->
              devs.(d2).d_busy <- None;
-             !sync d2
+             refresh_device d2
            | None -> ());
         let payloads =
           Array.of_list (List.map (fun r -> r.rq_payload) b.b_reqs)
@@ -1144,19 +1076,12 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       end)
   in
   let handle_jvm () =
+    (* The caller peeked this event at the heap top; nothing between
+       the peek and here mutates the heap, so pop it now. *)
     let t, r, v =
-      if heap_mode then
-        (* The caller peeked this event at the heap top; nothing between
-           the peek and here mutates the heap, so pop it now. *)
-        match Pheap.pop ev_heap with
-        | Some (_, Ev_jvm e) -> e
-        | _ -> assert false
-      else
-        match !jvm_pending with
-        | e :: rest ->
-          jvm_pending := rest;
-          e
-        | [] -> assert false
+      match Pheap.pop ev_heap with
+      | Some (_, Ev_jvm e) -> e
+      | _ -> assert false
     in
     now := t;
     Obs.set_clock (!now /. 60.0);
@@ -1170,57 +1095,23 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     set_bstate d (Half_open 0);
     try_dispatch ()
   in
-  let next_device () =
-    let best = ref (infinity, -1) in
-    Array.iteri
-      (fun d dev ->
-        match dev.d_busy with
-        | Some b ->
-          let t =
-            Float.min
-              (match b.b_lost with Some l -> l | None -> infinity)
-              (Float.min b.b_done b.b_timeout)
-          in
-          if t < fst !best then best := (t, d)
-        | None -> ())
-      devs;
-    !best
-  in
-  let next_reopen () =
-    let best = ref (infinity, -1) in
-    Array.iteri
-      (fun d dv ->
-        if dv.d_alive && dv.d_state = Quarantined && dv.d_reopen < fst !best
-        then best := (dv.d_reopen, d))
-      devs;
-    !best
-  in
   (* ---------- checkpoint rendering ---------- *)
-  (* Pending JVM completions in (t, app, id) order, whichever engine
-     holds them — the heap's internal layout never reaches a snapshot. *)
+  (* Pending JVM completions in (t, app, id) order — the heap's
+     internal layout never reaches a snapshot. *)
   let jvm_entries () =
-    if heap_mode then
-      List.sort jvm_order
-        (Pheap.fold ev_heap ~init:[] ~f:(fun acc _ e ->
-             match e with Ev_jvm entry -> entry :: acc | _ -> acc))
-    else !jvm_pending
+    List.sort jvm_order
+      (Pheap.fold ev_heap ~init:[] ~f:(fun acc _ e ->
+           match e with Ev_jvm entry -> entry :: acc | _ -> acc))
   in
   let snapshot_lines ~every ~meta () =
     let fstr = Json.fstr and quote = Json.quote in
     let header =
       Printf.sprintf
-        "{\"ck\":\"fleet\",\"v\":1,\"policy\":%s,\"devices\":%d,\"device\":%s,\"apps\":%d,\"events\":%d,\"now\":%s,\"every\":%s}"
+        "\"v\":1,\"policy\":%s,\"devices\":%d,\"device\":%s,\"apps\":%d,\"events\":%d,\"now\":%s,\"every\":%s"
         (quote (policy_name opts.o_policy))
         opts.o_devices
         (quote opts.o_device.Device.name)
         n_apps !events (fstr !now) (fstr every)
-    in
-    let metal =
-      List.map
-        (fun (k, v) ->
-          Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (quote k)
-            (quote v))
-        meta
     in
     let queue_lines =
       Array.to_list
@@ -1298,24 +1189,9 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       Printf.sprintf "{\"ck\":\"arrivals\",\"left\":%d}"
         (List.length !arrivals)
     in
-    let body =
-      (header :: metal) @ queue_lines @ dev_lines @ [ counter_line ]
-      @ jvm_lines
-      @ [ result_line; arr_line ]
-    in
-    body @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length body) ]
-  in
-  let write_snapshot (c : ck_spec) =
-    let lines = snapshot_lines ~every:c.cks_every_s ~meta:c.cks_meta () in
-    let tmp = c.cks_path ^ ".tmp" in
-    let oc = open_out tmp in
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      lines;
-    close_out oc;
-    Sys.rename tmp c.cks_path
+    Envelope.render ~kind:checkpoint_kind ~header ~meta
+      (queue_lines @ dev_lines @ [ counter_line ] @ jvm_lines
+      @ [ result_line; arr_line ])
   in
   let next_ck =
     ref (match checkpoint with Some c -> c.cks_every_s | None -> infinity)
@@ -1332,63 +1208,24 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     match checkpoint with
     | Some c when !now >= !next_ck ->
       next_ck := !now +. c.cks_every_s;
-      write_snapshot c;
+      Envelope.write c.cks_path
+        (snapshot_lines ~every:c.cks_every_s ~meta:c.cks_meta ());
       clocked
         (Telemetry.Checkpoint_written
            { path = c.cks_path; minutes = !now /. 60.0; evals = !events })
     | _ -> ()
   in
-  let step_scan () =
-    let t_arr =
-      match !arrivals with [] -> infinity | r :: _ -> r.rq_arrival
-    in
-    let t_dev, d = next_device () in
-    let t_jvm =
-      match !jvm_pending with [] -> infinity | (t, _, _) :: _ -> t
-    in
-    (* Breaker reopen probes only matter while work can still reach a
-       queue; gating them keeps quiesced runs from trailing half-open
-       transitions after the last completion. [expect_more] stands in
-       for arrivals a federation driver has not injected yet. *)
-    let queued = Array.exists (fun q -> dq_len q > 0) queues in
-    let t_brk, bd =
-      if queued || t_arr < infinity || !expect_more then next_reopen ()
-      else (infinity, -1)
-    in
-    if
-      t_arr = infinity && t_dev = infinity && t_jvm = infinity
-      && t_brk = infinity
-    then false
-    else begin
-      (* Fixed priority on ties — arrivals, then device events, then JVM
-         completions, then breaker probes — so simultaneous events
-         replay identically. *)
-      if t_arr <= t_dev && t_arr <= t_jvm && t_arr <= t_brk then begin
-        match !arrivals with
-        | r :: rest ->
-          arrivals := rest;
-          handle_arrival r
-        | [] -> assert false
-      end
-      else if t_dev <= t_jvm && t_dev <= t_brk then handle_device d
-      else if t_jvm <= t_brk then handle_jvm ()
-      else handle_reopen bd;
-      incr events;
-      after_event ();
-      true
-    end
-  in
-  (* The heap engine. [ev_heap]'s total-order key encodes the scan
-     loop's tie chain (arrival, then lowest-index device, then
-     (t, app, id)-least JVM completion), so its minimum is exactly the
-     event the scan would pick whenever that minimum beats the gated
-     reopen probe — which wins only on strictly earlier times, like the
-     scan's trailing [else]. Device events are peeked, not popped: their
-     handlers re-key or withdraw them through [sync], the same path
-     every other mutation takes. Reopens stay in their own heap because
-     the gate is evaluated per iteration: a probe hidden by an empty
-     system must fire — possibly moving the clock backwards — once a
-     requeue re-opens the gate, exactly as the scan engine replays it. *)
+  (* The event loop. [ev_heap]'s minimum is the next event whenever it
+     does not come strictly after the gated reopen probe. Device events
+     are peeked, not popped: their handlers re-key or withdraw them
+     through [refresh_device], the same path every other mutation takes.
+     Reopens stay in their own heap because the gate is evaluated per
+     step: breaker reopen probes only matter while work can still reach
+     a queue, which keeps quiesced runs from trailing half-open
+     transitions after the last completion ([expect_more] stands in for
+     arrivals a federation driver has not injected yet). A probe hidden
+     by an empty system must fire — possibly moving the clock backwards
+     — once a requeue re-opens the gate. *)
   let refresh_arrival () =
     (match !arr_h with
     | Some h ->
@@ -1400,9 +1237,10 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       arr_h := Some (Pheap.insert ev_heap (r.rq_arrival, 0, 0, 0) Ev_arrival)
     | [] -> ()
   in
-  let step_heap () =
+  let reopen_gate () = !total_queued > 0 || !arrivals <> [] || !expect_more in
+  let step () =
     let t_brk, bd =
-      if !total_queued > 0 || !arrivals <> [] || !expect_more then
+      if reopen_gate () then
         match Pheap.peek reopen_heap with
         | Some ((t, _), d) -> (t, d)
         | None -> (infinity, -1)
@@ -1432,46 +1270,25 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       true
     end
   in
-  if heap_mode then begin
-    sync := refresh_device;
-    refresh_arrival ();
-    Array.iteri (fun d _ -> refresh_device d) devs
-  end;
+  refresh_arrival ();
+  Array.iteri (fun d _ -> refresh_device d) devs;
   (* The earliest pending event's time, under the same reopen gating
-     the step functions apply — the key the federation files this sim
-     under in its global heap. *)
+     [step] applies — the key the federation files this sim under in its
+     global heap. *)
   let next_pending () =
-    if heap_mode then begin
-      let t_brk =
-        if !total_queued > 0 || !arrivals <> [] || !expect_more then
-          match Pheap.peek reopen_heap with
-          | Some ((t, _), _) -> t
-          | None -> infinity
-        else infinity
-      in
-      let t_ev =
-        match Pheap.peek ev_heap with
-        | Some ((t, _, _, _), _) -> t
+    let t_brk =
+      if reopen_gate () then
+        match Pheap.peek reopen_heap with
+        | Some ((t, _), _) -> t
         | None -> infinity
-      in
-      Float.min t_ev t_brk
-    end
-    else begin
-      let t_arr =
-        match !arrivals with [] -> infinity | r :: _ -> r.rq_arrival
-      in
-      let t_dev, _ = next_device () in
-      let t_jvm =
-        match !jvm_pending with [] -> infinity | (t, _, _) :: _ -> t
-      in
-      let queued = Array.exists (fun q -> dq_len q > 0) queues in
-      let t_brk =
-        if queued || t_arr < infinity || !expect_more then
-          fst (next_reopen ())
-        else infinity
-      in
-      Float.min (Float.min t_arr t_dev) (Float.min t_jvm t_brk)
-    end
+      else infinity
+    in
+    let t_ev =
+      match Pheap.peek ev_heap with
+      | Some ((t, _, _, _), _) -> t
+      | None -> infinity
+    in
+    Float.min t_ev t_brk
   in
   let inject r =
     if !finished then fail "sim: inject after finish";
@@ -1482,7 +1299,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       fail "request %d: deadline must be finite" r.rq_id
     | _ -> ());
     arrivals := List.merge request_order [ r ] !arrivals;
-    if heap_mode then refresh_arrival ()
+    refresh_arrival ()
   in
   (* Autoscaling: release parks the highest-index idle device (so the
      low indices every tie-break prefers stay stable); lease brings the
@@ -1504,7 +1321,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
         dev.d_released <- true;
         decr n_alive;
         if dev.d_state <> Quarantined then decr n_routable;
-        !sync d;
+        refresh_device d;
         true
       end
     end
@@ -1522,7 +1339,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
       dev.d_alive <- true;
       incr n_alive;
       if dev.d_state <> Quarantined then incr n_routable;
-      !sync d;
+      refresh_device d;
       try_dispatch ();
       true
     end
@@ -1642,7 +1459,7 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
   in
   { oc_report = report; oc_results = results }
   in
-  { s_step = (fun () -> if heap_mode then step_heap () else step_scan ());
+  { s_step = step;
     s_next = next_pending;
     s_now = (fun () -> !now);
     s_inject = inject;
@@ -1659,36 +1476,24 @@ let make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate
     s_deadline_misses = (fun () -> !dl_misses);
     s_finish = finish }
 
-let serve_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate apps
-    requests =
+let serve_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests =
   Obs.span "fleet.serve" @@ fun () ->
   let sim =
-    make_sim_impl ~opts ~engine ?trace ?faults ?checkpoint ?validate apps
-      requests
+    make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests
   in
   while sim.s_step () do
     ()
   done;
   sim.s_finish ()
 
-let make_sim ?(opts = default_opts) ?engine ?trace ?faults apps requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
-  make_sim_impl ~opts ~engine ?trace ?faults apps requests
+let make_sim ?(opts = default_opts) ?trace ?faults apps requests =
+  make_sim_impl ~opts ?trace ?faults apps requests
 
-let serve ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint apps
+let serve ?(opts = default_opts) ?trace ?faults ?checkpoint apps requests =
+  serve_impl ~opts ?trace ?faults ?checkpoint apps requests
+
+let resume ?(opts = default_opts) ?trace ?faults ?checkpoint ~snapshot apps
     requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
-  serve_impl ~opts ~engine ?trace ?faults ?checkpoint apps requests
-
-let resume ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint
-    ~snapshot apps requests =
-  let engine =
-    match engine with Some e -> e | None -> engine_of_env ()
-  in
   if snapshot.fk_policy <> policy_name opts.o_policy then
     fail "resume: checkpoint policy %s does not match the requested %s"
       snapshot.fk_policy
@@ -1699,7 +1504,7 @@ let resume ?(opts = default_opts) ?engine ?trace ?faults ?checkpoint
   if snapshot.fk_apps <> Array.length apps then
     fail "resume: checkpoint has %d apps, requested %d" snapshot.fk_apps
       (Array.length apps);
-  serve_impl ~opts ~engine ?trace ?faults ?checkpoint ~validate:snapshot apps
+  serve_impl ~opts ?trace ?faults ?checkpoint ~validate:snapshot apps
     requests
 
 (* ------------------------------------------------------------------ *)

@@ -42,7 +42,15 @@
     independent of policy internals or device count
     ([test/test_fleet.ml]). Hedged first-result-wins races inherit the
     event loop's fixed tie-break (lowest device index on equal times),
-    so they replay exactly too. *)
+    so they replay exactly too.
+
+    The event loop keeps every future event in indexed binary
+    min-heaps: O(log pool) per event, O(ready) dispatch. Its heap keys
+    are a total order that encodes the tie-breaks of the linear-rescan
+    loop it replaced; [test/golden/engine_sweep.md5] holds that loop's
+    recorded output (reports, telemetry, checkpoints, resume, and a
+    federation) and [test/test_heap.ml] checks the heap loop against
+    it. *)
 
 exception Fleet_error of string
 
@@ -142,19 +150,6 @@ val default_opts : opts
 (** 2 VU9P devices, FCFS, 8 GB/s PCIe, 0.5 ms invocation overhead,
     {!no_slo}. *)
 
-(** The event engine behind {!serve}. [Heap] (the default) drives the
-    simulation from indexed binary min-heaps — O(log pool) per event,
-    O(ready) dispatch; [Scan] is the original linear-rescan loop,
-    O(pool) per event, kept as a differential oracle. The heap keys are
-    a total order encoding exactly the scan loop's tie-breaks, so both
-    engines produce byte-identical reports, telemetry streams, results
-    and checkpoints on any input (proved across policies, SLO/chaos
-    configurations and checkpoint/resume in [test/test_heap.ml], and on
-    every chaos-campaign seed). The [S2FA_FLEET_ENGINE] environment
-    variable ([heap] | [scan]) sets the default for runs that do not
-    pass [?engine] — the CI differential sweep's hook. *)
-type engine = Heap | Scan
-
 val with_deadline : float -> request list -> request list
 (** [with_deadline slo_seconds reqs] stamps every request with the
     absolute deadline [rq_arrival +. slo_seconds] (the CLI's [--slo-ms]
@@ -226,9 +221,9 @@ type outcome = {
 
 (** {1 Checkpoints} *)
 
-(** Periodic mid-serve snapshots: the PR-3 JSONL discipline (atomic
-    tmp-then-rename writes, an end-marker truncation guard, replay
-    validation on resume) applied to fleet state — queues, per-device
+(** Periodic mid-serve snapshots in the {!S2fa_telemetry.Envelope}
+    (atomic tmp-then-rename writes, an end-marker truncation guard),
+    validated by replay on resume, applied to fleet state — queues, per-device
     busy/breaker state, counters, pending JVM completions, a results
     digest, and the virtual clock. *)
 type ck_spec = {
@@ -251,19 +246,24 @@ type snapshot = {
   fk_lines : string list;  (** The raw snapshot lines, for validation. *)
 }
 
-val is_fleet_checkpoint : string -> bool
-(** Whether the file's first line is a fleet-checkpoint header — the
-    CLI's dispatch test between DSE and fleet checkpoints. *)
+val checkpoint_kind : string
+(** The header tag of a fleet checkpoint ([fleet]); a loaded
+    {!S2fa_telemetry.Envelope.t} of this kind is a fleet snapshot. *)
+
+val snapshot_of_envelope :
+  S2fa_telemetry.Envelope.t -> (snapshot, string) Stdlib.result
+(** Decode a loaded envelope; rejects any other kind or a malformed
+    header. Never raises. *)
 
 val load_checkpoint : string -> (snapshot, string) Stdlib.result
-(** Read and structurally validate a snapshot (end marker present,
-    line count matches — a truncated write is rejected). *)
+(** Read and structurally validate a snapshot through
+    {!S2fa_telemetry.Envelope.load} (end marker present, line count
+    matches — a truncated write is rejected). *)
 
 (** {1 Serving} *)
 
 val serve :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   ?checkpoint:ck_spec ->
@@ -288,7 +288,6 @@ val serve :
 
 val resume :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   ?checkpoint:ck_spec ->
@@ -366,7 +365,6 @@ type sim = {
 
 val make_sim :
   ?opts:opts ->
-  ?engine:engine ->
   ?trace:S2fa_telemetry.Telemetry.t ->
   ?faults:S2fa_fault.Fault.t ->
   app array ->

@@ -59,7 +59,8 @@ val pp_campaign : Format.formatter -> campaign -> unit
     scenario — random cluster count (1–3), skewed regional arrival
     rates, per-cluster RTTs, autoscaling on or off, and device loss
     {e correlated within a single cluster} (at most one pool carries an
-    injector) — and checks the four invariants above plus a fifth:
+    injector) — and checks the first three invariants above plus a
+    fourth:
 
     + {b cluster invariance}: every request's result value is
       bit-identical whether it was served by the multi-cluster

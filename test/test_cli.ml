@@ -133,14 +133,68 @@ let test_checkpoint_and_resume () =
   | Some a, Some b -> Alcotest.(check string) "same best line" a b
   | _ -> Alcotest.fail "missing best line"
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not found" sub
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* A small fleet serve long enough to write mid-serve snapshots. *)
+let fleet_checkpoint () =
+  let ck = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
+  ignore
+    (check_ok "serve --checkpoint"
+       (Printf.sprintf
+          "serve --apps KMeans:300,PR:200 --horizon 0.3 --seed 11 \
+           --checkpoint %s --ck-every-s 2"
+          ck));
+  ck
+
 let test_resume_rejects_garbage () =
   let bad = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
-  let oc = open_out bad in
-  output_string oc "{\"ck\":\"nope\"}\n";
-  close_out oc;
+  write_file bad "{\"ck\":\"nope\"}\n";
   let code, _ = run ("resume " ^ bad) in
   Sys.remove bad;
-  Alcotest.(check bool) "non-zero exit" true (code <> 0)
+  Alcotest.(check bool) "non-zero exit" true (code <> 0);
+  (* A meta value that does not parse: one line naming the key, exit 1
+     (not an uncaught exception), for both checkpoint kinds. *)
+  let dse = Filename.temp_file "s2fa_cli" ".ck.jsonl" in
+  ignore
+    (check_ok "dse --checkpoint"
+       (Printf.sprintf
+          "dse -w KMeans --minutes 20 --seed 3 --checkpoint %s --ck-every 10"
+          dse));
+  List.iter
+    (fun (kind, ck, good) ->
+      write_file ck
+        (replace ~sub:good ~by:"{\"ck\":\"meta\",\"k\":\"seed\",\"v\":\"abc\"}"
+           (read_file ck));
+      let code, out = run ("resume " ^ ck) in
+      Sys.remove ck;
+      Alcotest.(check int) (kind ^ ": bad meta exits 1") 1 code;
+      Alcotest.(check bool) (kind ^ ": names the bad key") true
+        (contains out "bad checkpoint meta seed"))
+    [ ("fleet", fleet_checkpoint (), "{\"ck\":\"meta\",\"k\":\"seed\",\"v\":\"11\"}");
+      ("dse", dse, "{\"ck\":\"meta\",\"k\":\"seed\",\"v\":\"3\"}") ]
+
+(* Blank lines are not part of a checkpoint: a fleet snapshot with a
+   leading blank line still resumes as a fleet serve. *)
+let test_resume_leading_blank_line () =
+  let ck = fleet_checkpoint () in
+  write_file ck ("\n" ^ read_file ck);
+  let out = check_ok "resume" ("resume " ^ ck) in
+  Sys.remove ck;
+  Alcotest.(check bool) "resumed as a fleet serve" true
+    (contains out "# resumed fleet serve")
 
 let test_cache () =
   let out = check_ok "cache" "cache -w KMeans --minutes 30 --seed 3" in
@@ -390,6 +444,8 @@ let () =
             test_checkpoint_and_resume;
           Alcotest.test_case "resume rejects garbage" `Quick
             test_resume_rejects_garbage;
+          Alcotest.test_case "resume skips a leading blank line" `Quick
+            test_resume_leading_blank_line;
           Alcotest.test_case "cache" `Quick test_cache;
           Alcotest.test_case "report" `Quick test_report;
           Alcotest.test_case "unknown kernel" `Quick test_bad_kernel_fails;

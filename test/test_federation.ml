@@ -1,8 +1,8 @@
 (* Federation tests: the 1-cluster identity differential (a trivial
    federation is byte-identical to plain Fleet.serve — report, JSONL
-   trace, results), multi-cluster determinism across seeds and event
-   engines, the JVM-oracle and no-request-dropped contracts under
-   routing/autoscaling, the online-DSE loop demonstrably improving a
+   trace, results), multi-cluster determinism across seeds and against
+   the scan-engine golden, the JVM-oracle and no-request-dropped
+   contracts under routing/autoscaling, the online-DSE loop demonstrably improving a
    breaching tenant's p99, regional traffic stream independence, and
    the seeded federation chaos campaign. *)
 module Rng = S2fa_util.Rng
@@ -35,11 +35,11 @@ let standalone (apps : Fleet.app array) (r : Fleet.request) =
   (Blaze.map_jvm a.Fleet.ap_cls ~fields:a.Fleet.ap_fields
      [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
 
-let fed_serve ?(opts = Fed.default_opts) ?engine ~clusters apps requests =
+let fed_serve ?(opts = Fed.default_opts) ~clusters apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let tenants = Array.to_list (Array.map Fed.tenant apps) in
-  let outcome = Fed.serve ~opts ?engine ~trace ~clusters tenants requests in
+  let outcome = Fed.serve ~opts ~trace ~clusters tenants requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
 
@@ -119,21 +119,17 @@ let test_determinism () =
     (Fed.report_to_string o2.Fed.fo_report);
   Alcotest.(check string) "JSONL byte-identical" j1 j2
 
-let test_engine_invariance () =
+(* The federation's member pools on the event engine must reproduce the
+   report and trace the retired linear-scan engine recorded. *)
+let test_engine_golden () =
   let apps, requests = Lazy.force scenario in
-  let oh, jh =
-    fed_serve ~opts:fed_opts_full ~engine:Fleet.Heap ~clusters:two_clusters
-      apps requests
+  let oc, jsonl =
+    fed_serve ~opts:fed_opts_full ~clusters:two_clusters apps requests
   in
-  let os, js =
-    fed_serve ~opts:fed_opts_full ~engine:Fleet.Scan ~clusters:two_clusters
-      apps requests
-  in
-  Alcotest.(check string)
-    "heap and scan reports byte-identical"
-    (Fed.report_to_string oh.Fed.fo_report)
-    (Fed.report_to_string os.Fed.fo_report);
-  Alcotest.(check string) "heap and scan JSONL byte-identical" jh js
+  Golden.check_sweep ~prefix:"federation/"
+    [ ( "federation/locality-autoscale-2x2",
+        Fed.report_to_string oc.Fed.fo_report,
+        jsonl ) ]
 
 (* ---------- oracle and no-drop across every route ---------- *)
 
@@ -450,8 +446,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "report and JSONL byte-identical" `Quick
             test_determinism;
-          Alcotest.test_case "heap and scan engines byte-identical" `Quick
-            test_engine_invariance ] );
+          Alcotest.test_case "matches the scan-engine golden" `Quick
+            test_engine_golden ] );
       ( "routing",
         [ Alcotest.test_case "all routes differential and no-drop" `Quick
             test_differential_all_routes;

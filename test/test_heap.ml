@@ -1,10 +1,10 @@
-(* The event-heap core, model-checked and differentially verified:
-   the priority heap against a sorted-list model under arbitrary
+(* The event-heap core, model-checked and pinned by goldens: the
+   priority heap against a sorted-list model under arbitrary
    insert / pop / re-key / remove interleavings, the admission deque
-   against a plain list, the heap event engine against the linear-scan
-   oracle byte-for-byte (reports, telemetry, checkpoints, resume)
-   across every policy and SLO configuration, and a committed golden
-   pinning the tie-break order on simultaneous events. *)
+   against a plain list, the event engine against the digests the
+   retired linear-scan engine recorded (reports, telemetry, checkpoints,
+   resume) across every policy and SLO configuration, and a committed
+   golden pinning the tie-break order on simultaneous events. *)
 module Pheap = S2fa_util.Pheap
 module Fleet = S2fa_fleet.Fleet
 module Traffic = S2fa_workloads.Traffic
@@ -16,7 +16,7 @@ module Fault = S2fa_fault.Fault
 
 (* Keys carry a unique sequence number, so the model's minimum is
    unique and the comparison with the heap's pop is exact. *)
-let prop_heap_model =
+let prop_heap_vs_list =
   QCheck.Test.make ~name:"heap matches sorted-list model" ~count:300
     QCheck.(list (pair small_int (int_range 0 3)))
     (fun ops ->
@@ -155,7 +155,7 @@ let prop_dq_model =
       check (Fleet.Dq.to_list q = !model);
       !ok)
 
-(* ---------- heap engine vs scan oracle, byte for byte ---------- *)
+(* ---------- the engine sweep against its scan-engine golden ---------- *)
 
 let tenants =
   lazy
@@ -167,10 +167,10 @@ let scenario =
     (let ts = Lazy.force tenants in
      (Traffic.apps ~seed:11 ts, Traffic.requests ~seed:11 ~horizon:0.4 ts))
 
-(* A fresh injector per run (same seed) keeps the two engines'
-   fault-draw sequences identical, exactly as a re-run would. *)
+(* A fresh injector per run (same seed) keeps every run's fault-draw
+   sequence identical to the one the golden recorded. *)
 let serve_capture ?fspec ?(devices = 2) ?(policy = Fleet.Fcfs)
-    ?(slo = Fleet.no_slo) ~engine apps requests =
+    ?(slo = Fleet.no_slo) apps requests =
   let buf = Buffer.create 4096 in
   let trace = T.create ~sinks:[ T.buffer_sink buf ] () in
   let faults = Option.map (fun spec -> Fault.create ~seed:5 spec) fspec in
@@ -180,7 +180,7 @@ let serve_capture ?fspec ?(devices = 2) ?(policy = Fleet.Fcfs)
       o_policy = policy;
       o_slo = slo }
   in
-  let outcome = Fleet.serve ~opts ~engine ~trace ?faults apps requests in
+  let outcome = Fleet.serve ~opts ~trace ?faults apps requests in
   T.flush trace;
   (outcome, Buffer.contents buf)
 
@@ -195,28 +195,24 @@ let test_engine_differential_sweep () =
   let chaos_spec =
     { Fault.zero_spec with Fault.fs_hang = 0.3; fs_core_loss = 0.1 }
   in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun (nm, reqs, slo, fspec) ->
-          let oh, jh =
-            serve_capture ?fspec ~devices:3 ~policy ~slo ~engine:Fleet.Heap
-              apps reqs
-          in
-          let os, js =
-            serve_capture ?fspec ~devices:3 ~policy ~slo ~engine:Fleet.Scan
-              apps reqs
-          in
-          let tag = Fleet.policy_name policy ^ "/" ^ nm in
-          Alcotest.(check string)
-            (tag ^ ": heap report = scan report")
-            (Fleet.report_to_string os.Fleet.oc_report)
-            (Fleet.report_to_string oh.Fleet.oc_report);
-          Alcotest.(check string) (tag ^ ": heap JSONL = scan JSONL") js jh)
-        [ ("plain", requests, Fleet.no_slo, None);
-          ("deadline", with_deadline, Fleet.no_slo, None);
-          ("chaos", with_deadline, armed, Some chaos_spec) ])
-    Fleet.all_policies
+  let cases =
+    List.concat_map
+      (fun policy ->
+        List.map
+          (fun (nm, reqs, slo, fspec) ->
+            let oc, jsonl =
+              serve_capture ?fspec ~devices:3 ~policy ~slo apps reqs
+            in
+            ( Printf.sprintf "serve/%s/%s" (Fleet.policy_name policy) nm,
+              Fleet.report_to_string oc.Fleet.oc_report,
+              jsonl ))
+          [ ("plain", requests, Fleet.no_slo, None);
+            ("deadline", with_deadline, Fleet.no_slo, None);
+            ("chaos", with_deadline, armed, Some chaos_spec) ])
+      Fleet.all_policies
+  in
+  Alcotest.(check int) "4 policies x 3 configurations" 12 (List.length cases);
+  Golden.check_sweep ~prefix:"serve/" cases
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -229,60 +225,49 @@ let outcome_fingerprint (oc : Fleet.outcome) =
              (T.Json.fstr r.Fleet.rs_done) r.Fleet.rs_accelerated)
          oc.Fleet.oc_results)
 
-(* Every mid-serve snapshot the heap engine writes must be
-   byte-identical to the scan engine's at the same tick, and a resume
-   from a heap-written snapshot on EITHER engine must land on the
-   uninterrupted outcome, bit for bit. *)
+(* Every mid-serve snapshot must match the golden's bytes, and a resume
+   from each one must land on the uninterrupted outcome, bit for bit.
+   Case [checkpoint/snapshot-<i>] digests the resumed outcome (report
+   and per-request completions) and the snapshot file. *)
 let test_engine_checkpoint_differential () =
   let apps, requests = Lazy.force scenario in
-  let run engine =
-    let ck = Filename.temp_file "fleet_heap" ".ck" in
-    let copies = ref [] in
-    let copy_sink =
-      { T.on_event =
-          (fun (ev : T.event) ->
-            match ev.T.e_kind with
-            | T.Checkpoint_written { path; _ } ->
-              copies := read_file path :: !copies
-            | _ -> ());
-        T.on_flush = ignore }
-    in
-    let trace = T.create ~sinks:[ copy_sink ] () in
-    let spec =
-      { Fleet.cks_path = ck; cks_every_s = 2.0; cks_meta = [ ("kind", "diff") ] }
-    in
-    let outcome = Fleet.serve ~engine ~trace ~checkpoint:spec apps requests in
-    let last = ck in
-    (outcome, List.rev !copies, last)
+  let ck = Filename.temp_file "fleet_heap" ".ck" in
+  let copies = ref [] in
+  let copy_sink =
+    { T.on_event =
+        (fun (ev : T.event) ->
+          match ev.T.e_kind with
+          | T.Checkpoint_written { path; _ } ->
+            copies := read_file path :: !copies
+          | _ -> ());
+      T.on_flush = ignore }
   in
-  let oc_h, snaps_h, ck_h = run Fleet.Heap in
-  let oc_s, snaps_s, ck_s = run Fleet.Scan in
-  Alcotest.(check string) "reports agree"
-    (Fleet.report_to_string oc_s.Fleet.oc_report)
-    (Fleet.report_to_string oc_h.Fleet.oc_report);
-  Alcotest.(check int) "same snapshot count" (List.length snaps_s)
-    (List.length snaps_h);
+  let trace = T.create ~sinks:[ copy_sink ] () in
+  let spec =
+    { Fleet.cks_path = ck; cks_every_s = 2.0; cks_meta = [ ("kind", "diff") ] }
+  in
+  let uninterrupted = Fleet.serve ~trace ~checkpoint:spec apps requests in
+  let snaps = List.rev !copies in
   Alcotest.(check bool) "several mid-serve snapshots" true
-    (List.length snaps_h >= 3);
-  List.iteri
-    (fun i (s, h) ->
-      Alcotest.(check string)
-        (Printf.sprintf "snapshot %d byte-identical across engines" i)
-        s h)
-    (List.combine snaps_s snaps_h);
-  (match Fleet.load_checkpoint ck_h with
-  | Error m -> Alcotest.failf "load heap checkpoint: %s" m
-  | Ok snapshot ->
-    let want = outcome_fingerprint oc_h in
-    List.iter
-      (fun engine ->
-        let got = Fleet.resume ~engine ~snapshot apps requests in
-        Alcotest.(check string)
-          "resume lands on the uninterrupted outcome" want
-          (outcome_fingerprint got))
-      [ Fleet.Heap; Fleet.Scan ]);
-  Sys.remove ck_h;
-  Sys.remove ck_s
+    (List.length snaps >= 3);
+  let want = outcome_fingerprint uninterrupted in
+  let cases =
+    List.mapi
+      (fun i bytes ->
+        Out_channel.with_open_bin ck (fun oc -> Out_channel.output_string oc bytes);
+        match Fleet.load_checkpoint ck with
+        | Error m -> Alcotest.failf "load snapshot %d: %s" i m
+        | Ok snapshot ->
+          let got = outcome_fingerprint (Fleet.resume ~snapshot apps requests) in
+          Alcotest.(check string)
+            (Printf.sprintf "resume from snapshot %d lands on the uninterrupted \
+                             outcome" i)
+            want got;
+          (Printf.sprintf "checkpoint/snapshot-%02d" i, got, bytes))
+      snaps
+  in
+  Sys.remove ck;
+  Golden.check_sweep ~prefix:"checkpoint/" cases
 
 (* ---------- simultaneous-event tie-breaks, pinned ---------- *)
 
@@ -319,8 +304,7 @@ let tie_scenario =
          (take 16 raw)
      in
      let probe, _ =
-       serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo
-         ~engine:Fleet.Scan apps burst
+       serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo apps burst
      in
      let instants =
        List.sort_uniq compare
@@ -349,60 +333,41 @@ let tie_scenario =
      in
      (apps, requests))
 
-(* dune runtest runs us in test/; a bare [dune exec] runs from the
-   workspace root. Pick by directory, not file, so the update mode can
-   create a golden that does not exist yet. *)
-let golden name =
-  let dir =
-    if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
-    else "test/golden"
-  in
-  Filename.concat dir name
-
 let test_tie_golden () =
   let apps, requests = Lazy.force tie_scenario in
-  let oh, jh =
-    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo ~engine:Fleet.Heap
-      apps requests
-  in
-  let os, js =
-    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo ~engine:Fleet.Scan
-      apps requests
+  let oc, jsonl =
+    serve_capture ~fspec:tie_fspec ~devices:4 ~slo:tie_slo apps requests
   in
   (* The scenario must actually collide: at least one completion
      instant shared by two results, and at least one arrival placed on
      a completion instant by construction. *)
   let dones =
-    List.map (fun (r : Fleet.result) -> r.Fleet.rs_done) oh.Fleet.oc_results
+    List.map (fun (r : Fleet.result) -> r.Fleet.rs_done) oc.Fleet.oc_results
   in
   let has_dup =
     List.length dones > List.length (List.sort_uniq compare dones)
   in
   Alcotest.(check bool) "simultaneous completions present" true has_dup;
-  Alcotest.(check string) "tie report: heap = scan"
-    (Fleet.report_to_string os.Fleet.oc_report)
-    (Fleet.report_to_string oh.Fleet.oc_report);
-  Alcotest.(check string) "tie JSONL: heap = scan" js jh;
-  let report = Fleet.report_to_string oh.Fleet.oc_report in
-  if Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1" then begin
-    Out_channel.with_open_bin (golden "serve_pr9_ties.report") (fun oc ->
+  let report = Fleet.report_to_string oc.Fleet.oc_report in
+  if Golden.update then begin
+    Out_channel.with_open_bin (Golden.file "serve_pr9_ties.report") (fun oc ->
         Out_channel.output_string oc report);
-    Out_channel.with_open_bin (golden "serve_pr9_ties.jsonl") (fun oc ->
-        Out_channel.output_string oc jh)
+    Out_channel.with_open_bin (Golden.file "serve_pr9_ties.jsonl") (fun oc ->
+        Out_channel.output_string oc jsonl)
   end
   else begin
     Alcotest.(check string) "tie report matches the committed golden"
-      (read_file (golden "serve_pr9_ties.report"))
+      (read_file (Golden.file "serve_pr9_ties.report"))
       report;
     Alcotest.(check string) "tie JSONL matches the committed golden"
-      (read_file (golden "serve_pr9_ties.jsonl"))
-      jh
+      (read_file (Golden.file "serve_pr9_ties.jsonl"))
+      jsonl
   end
 
 let () =
   Alcotest.run "heap"
     [ ( "pheap",
-        [ QCheck_alcotest.to_alcotest prop_heap_model;
+        [ QCheck_alcotest.to_alcotest prop_heap_vs_list;
           Alcotest.test_case "handle surgery and edge cases" `Quick
             test_heap_unit ] );
       ("deque", [ QCheck_alcotest.to_alcotest prop_dq_model ]);

@@ -1,7 +1,8 @@
 (* Telemetry tests: the determinism contract (traced runs are
    bit-reproducible and tracing has zero observer effect), exact JSON
-   round-trips, and the trace-replay analyzer agreeing with the driver's
-   own accounting. *)
+   round-trips, the trace-replay analyzer agreeing with the driver's
+   own accounting, and the checkpoint envelope's guards for both
+   checkpoint kinds. *)
 module Rng = S2fa_util.Rng
 module Space = S2fa_tuner.Space
 module Driver = S2fa_dse.Driver
@@ -9,6 +10,9 @@ module T = S2fa_telemetry.Telemetry
 module Trace = S2fa_telemetry.Trace
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
+module Envelope = S2fa_telemetry.Envelope
+module Fleet = S2fa_fleet.Fleet
+module Traffic = S2fa_workloads.Traffic
 
 let kmeans = lazy (W.compile (Option.get (W.find "KMeans")))
 
@@ -278,6 +282,153 @@ let test_untraced_run_has_no_metrics () =
   Alcotest.(check bool) "no snapshot without a tracer" true
     (r.Driver.rr_metrics = None)
 
+(* ---------- the checkpoint envelope, both kinds ---------- *)
+
+(* One checkpoint per header kind, each from its real writer, with the
+   kind's decoder and a re-render of the decoded value: the DSE
+   re-encodes its [ck]; a fleet snapshot is re-rendered by the replay
+   that [Fleet.resume] validates against the stored lines. *)
+type ck_kind = {
+  kk_name : string;
+  kk_lines : string list;
+  kk_decode : Envelope.t -> (unit, string) result;
+  kk_rerender : string -> string list;  (* path -> lines *)
+}
+
+let dse_kind =
+  lazy
+    (let ck =
+       { Driver.ck_flow = "s2fa";
+         ck_every = 10.0;
+         ck_minutes = 20.0 +. (1.0 /. 3.0);
+         ck_evals = 7;
+         ck_best = Some ("a=1;b=2", 0.1 +. 0.2);
+         ck_core_time = [| 20.5; infinity |];
+         ck_db =
+           [ ( "a=1;b=2",
+               { S2fa_tuner.Resultdb.e_perf = 0.1 +. 0.2;
+                 e_feasible = true;
+                 e_minutes = 1.5 } ) ];
+         ck_tuners =
+           [ { Driver.ct_partition = 0;
+               ct_evaluated = 7;
+               ct_best = infinity;
+               ct_entropy = 0.25 } ];
+         ck_meta = [ ("workload", "KMeans"); ("seed", "3") ] }
+     in
+     { kk_name = "header";
+       kk_lines = Driver.ck_lines ck;
+       kk_decode = (fun env -> Result.map ignore (Driver.ck_of_envelope env));
+       kk_rerender =
+         (fun path ->
+           match Driver.load_checkpoint path with
+           | Ok ck -> Driver.ck_lines ck
+           | Error m -> Alcotest.failf "dse reload: %s" m) })
+
+let fleet_kind =
+  lazy
+    (let ts =
+       [ Traffic.tenant ~rate:300.0 ~weight:1.0 (Option.get (W.find "KMeans")) ]
+     in
+     let apps = Traffic.apps ~seed:11 ts in
+     let requests = Traffic.requests ~seed:11 ~horizon:0.2 ts in
+     let path = Filename.temp_file "envelope" ".ck" in
+     let spec =
+       { Fleet.cks_path = path; cks_every_s = 2.0; cks_meta = [ ("seed", "11") ] }
+     in
+     ignore (Fleet.serve ~checkpoint:spec apps requests);
+     let lines = In_channel.with_open_text path In_channel.input_lines in
+     Sys.remove path;
+     { kk_name = Fleet.checkpoint_kind;
+       kk_lines = lines;
+       kk_decode =
+         (fun env -> Result.map ignore (Fleet.snapshot_of_envelope env));
+       kk_rerender =
+         (fun path ->
+           match Fleet.load_checkpoint path with
+           | Error m -> Alcotest.failf "fleet reload: %s" m
+           | Ok snapshot ->
+             (* Resume raises unless its replay re-renders the stored
+                lines byte for byte. *)
+             ignore (Fleet.resume ~snapshot apps requests);
+             snapshot.Fleet.fk_lines) })
+
+let load_decode kind lines =
+  match Envelope.of_lines lines with
+  | Error _ as e -> e
+  | Ok env -> Result.map (fun () -> env) (kind.kk_decode env)
+
+let test_envelope_both_kinds () =
+  let kinds = [ Lazy.force dse_kind; Lazy.force fleet_kind ] in
+  let swap_kind kind line =
+    let other = if kind.kk_name = "header" then "fleet" else "header" in
+    let tag = Printf.sprintf "{\"ck\":\"%s\"" kind.kk_name in
+    let n = String.length tag in
+    Printf.sprintf "{\"ck\":\"%s\"" other
+    ^ String.sub line n (String.length line - n)
+  in
+  let end_marker n = Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" n in
+  let body lines = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+  let rejected =
+    [ ("missing end marker", fun _ l -> body l);
+      ( "end count too high",
+        fun _ l -> body l @ [ end_marker (List.length l) ] );
+      ( "a body line dropped",
+        fun _ l -> List.filteri (fun i _ -> i <> List.length l - 2) l );
+      ( "missing header",
+        fun _ l ->
+          let b = List.tl (body l) in
+          b @ [ end_marker (List.length b) ] );
+      ("wrong header", fun k l -> swap_kind k (List.hd l) :: List.tl l);
+      ( "malformed JSON",
+        fun _ l -> List.mapi (fun i x -> if i = 1 then "{\"ck\":" else x) l );
+      ( "untagged line",
+        fun _ l -> List.mapi (fun i x -> if i = 1 then "{\"k\":1}" else x) l );
+      ("empty file", fun _ _ -> []) ]
+  in
+  List.iter
+    (fun kind ->
+      let lines = kind.kk_lines in
+      let tag what = kind.kk_name ^ ": " ^ what in
+      Alcotest.(check bool) (tag "several body lines") true
+        (List.length lines >= 4);
+      (match load_decode kind lines with
+      | Error m -> Alcotest.failf "%s" (tag m)
+      | Ok env -> Alcotest.(check string) (tag "kind") kind.kk_name env.Envelope.kind);
+      List.iter
+        (fun (what, mutate) ->
+          match load_decode kind (mutate kind lines) with
+          | Ok _ -> Alcotest.failf "%s accepted" (tag what)
+          | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s raised %s" (tag what) (Printexc.to_string e))
+        rejected;
+      (* Blank and whitespace-only lines anywhere are not part of it. *)
+      let padded =
+        ("" :: List.concat_map (fun l -> [ l; "  " ]) lines) @ [ "" ]
+      in
+      (match load_decode kind padded with
+      | Error m -> Alcotest.failf "%s" (tag ("blank lines: " ^ m))
+      | Ok env ->
+        Alcotest.(check (list string)) (tag "blank lines dropped") lines
+          env.Envelope.lines);
+      (* write -> load -> render, byte for byte. *)
+      let path = Filename.temp_file "envelope" ".ck" in
+      Envelope.write path lines;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      Alcotest.(check string) (tag "one line each")
+        (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+        bytes;
+      Alcotest.(check bool) (tag "no temp file left") false
+        (Sys.file_exists (path ^ ".tmp"));
+      Alcotest.(check (list string)) (tag "round trip") lines
+        (kind.kk_rerender path);
+      Sys.remove path)
+    kinds;
+  match Envelope.load "/nonexistent/envelope.ck" with
+  | Ok _ -> Alcotest.fail "missing file accepted"
+  | Error _ -> ()
+
 let () =
   Alcotest.run "telemetry"
     [ ( "events",
@@ -308,4 +459,7 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "run snapshot" `Quick test_run_metrics_snapshot;
           Alcotest.test_case "untraced has none" `Quick
-            test_untraced_run_has_no_metrics ] ) ]
+            test_untraced_run_has_no_metrics ] );
+      ( "envelope",
+        [ Alcotest.test_case "both kinds: guards, blanks, round trip" `Quick
+            test_envelope_both_kinds ] ) ]
