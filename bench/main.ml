@@ -16,6 +16,8 @@
      [FAULT]        - fault-injector overhead and virtual-minutes bill
      [SERVE]        - multi-tenant serving throughput/latency per policy
      [FEDERATION]   - 1 pool vs N geo-sharded clusters, per route policy
+     [VALUE_PATH]   - per-request host cost of the JVM interpreter, serde
+                      and the C interpreter (KMeans, S-W)
      [SYM]          - symbolic verifier wall time per workload/chain
 
    Every Bechamel section persists its estimates to BENCH_<section>.json
@@ -47,6 +49,7 @@ module Fuzz = S2fa_fuzz.Fuzz
 module Transform = S2fa_merlin.Transform
 module Csyntax = S2fa_hlsc.Csyntax
 module Cinterp = S2fa_hlsc.Cinterp
+module Serde = S2fa_blaze.Serde
 module Perf = S2fa_obs.Perf
 
 let fig3_seeds = [ 1; 7; 13 ]
@@ -1025,6 +1028,79 @@ let federation () =
             Fed.all_routes))
 
 (* ------------------------------------------------------------------ *)
+(* Value path: the host cost of computing request values, per layer —
+   the JVM interpreter (fallback path), and serde and the C interpreter
+   (accelerated path) — for one batch of 16 KMeans or S-W requests on
+   the structured-seed design serving deploys. Persisted to
+   BENCH_value_path.json for the perf-trajectory gate. *)
+(* ------------------------------------------------------------------ *)
+
+(* Words one call allocates (minor + major - promoted); emptying the
+   minor heap at both ends makes the count exact. *)
+let words f =
+  let count () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = count () in
+  f ();
+  count () -. w0
+
+let value_path () =
+  section "VALUE_PATH" "Value path - JVM interpreter, serde and C interpreter";
+  let batch = 16 in
+  let tests =
+    List.concat_map
+      (fun name ->
+        let w = Option.get (W.find name) in
+        let c = List.assoc w compiled in
+        let fields = w.W.w_fields (Rng.create 1) in
+        let tasks = w.W.w_gen (Rng.create 2) batch in
+        let acc =
+          S2fa.make_accelerator
+            ~design:(Seed.structured_seed c.S2fa.c_dspace)
+            c ~fields
+        in
+        let iface = acc.Blaze.acc_iface in
+        let serde () =
+          let inputs = Serde.serialize_inputs iface c.S2fa.c_input_ty tasks in
+          let outputs = Serde.alloc_outputs iface batch in
+          let fields = Serde.field_buffers iface fields in
+          let values =
+            Array.init batch (fun t ->
+                Serde.deserialize_output iface c.S2fa.c_output_ty outputs t)
+          in
+          (inputs, fields, values)
+        in
+        let args =
+          (("N", Cinterp.VI batch)
+          :: Serde.serialize_inputs iface c.S2fa.c_input_ty tasks)
+          @ Serde.alloc_outputs iface batch
+          @ Serde.field_buffers iface fields
+        in
+        let layers =
+          [ ("jvm", fun () -> ignore (Blaze.map_jvm c.S2fa.c_class ~fields tasks));
+            ("serde", fun () -> ignore (serde ()));
+            ( "cinterp",
+              fun () ->
+                ignore
+                  (Cinterp.run acc.Blaze.acc_compiled
+                     iface.S2fa_b2c.Decompile.if_kernel args) ) ]
+        in
+        List.map
+          (fun (layer, f) ->
+            Printf.printf "  %-18s %12.0f words/request\n" (layer ^ "." ^ name)
+              (words f /. float_of_int batch);
+            let open Bechamel in
+            Test.make ~name:(Printf.sprintf "%s.%s-b16" layer name)
+              (Staged.stage f))
+          layers)
+      [ "KMeans"; "S-W" ]
+  in
+  persist_trajectory "value_path" (run_bechamel tests)
+
+(* ------------------------------------------------------------------ *)
 
 let sections =
   [ ("T1", table1);
@@ -1044,6 +1120,7 @@ let sections =
     ("CHAOS", chaos_overhead);
     ("FLEET_EVENT", fleet_event);
     ("FEDERATION", federation);
+    ("VALUE_PATH", value_path);
     ("SYM", sym_verify) ]
 
 let () =

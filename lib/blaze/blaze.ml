@@ -6,6 +6,7 @@ module Csyntax = S2fa_hlsc.Csyntax
 module Decompile = S2fa_b2c.Decompile
 module Estimate = S2fa_hls.Estimate
 module Telemetry = S2fa_telemetry.Telemetry
+module Obs = S2fa_obs.Obs
 
 exception Blaze_error of string
 
@@ -19,6 +20,7 @@ type accel = {
   acc_output_ty : Ast.ty;
   acc_fields : (string * Interp.value) list;
   acc_buffer_elems : (string * int) list;
+  acc_compiled : Cinterp.program;
 }
 
 type manager = {
@@ -68,44 +70,54 @@ let spark_task_overhead_cycles = 6_000.0
    scatter/gather on the JVM, roughly 1 GB/s. *)
 let serde_bytes_per_second = 1.0e9
 
+(* The accelerated path both operators share: serialize [tasks], run
+   the kernel with [out_tasks] output slots, read the results back with
+   [read], and time the batch. *)
+let accelerated m a ~op ~input_ty ~out_tasks tasks read =
+  Obs.span "blaze.accelerated" @@ fun () ->
+  let n = Array.length tasks in
+  let iface = a.acc_iface in
+  let args, outputs =
+    Obs.span "blaze.serde" (fun () ->
+        let inputs =
+          try Serde.serialize_inputs iface input_ty tasks
+          with Serde.Serde_error msg -> err "serialization failed: %s" msg
+        in
+        let outputs = Serde.alloc_outputs iface out_tasks in
+        let fields =
+          try Serde.field_buffers iface a.acc_fields
+          with Serde.Serde_error msg -> err "field packing failed: %s" msg
+        in
+        ((("N", Cinterp.VI n) :: inputs) @ outputs @ fields, outputs))
+  in
+  Obs.span "hlsc.cinterp" (fun () ->
+      try ignore (Cinterp.run a.acc_compiled iface.Decompile.if_kernel args)
+      with Cinterp.C_error msg -> err "kernel execution failed: %s" msg);
+  let values = Obs.span "blaze.serde" (fun () -> read outputs) in
+  (* The estimator charges its modeled DSE minutes to the ambient clock;
+     a batch runs on its caller's virtual time, so they are dropped. *)
+  let report =
+    Obs.off_clock (fun () ->
+        Estimate.estimate a.acc_prog ~tasks:n ~buffer_elems:a.acc_buffer_elems)
+  in
+  let serde_s = Serde.bytes_of_iface iface ~tasks:n /. serde_bytes_per_second in
+  let fpga_s = report.Estimate.r_seconds in
+  note_dispatch m ~op ~id:a.acc_id ~tasks:n ~seconds:(serde_s +. fpga_s);
+  { tr_values = values;
+    tr_seconds = serde_s +. fpga_s;
+    tr_detail = [ ("serde", serde_s); ("fpga", fpga_s) ] }
+
 let map_accelerated m ~id tasks =
   match find m id with
   | None -> err "no accelerator registered under id %s" id
   | Some a ->
     let n = Array.length tasks in
-    if n = 0 then
-      { tr_values = [||]; tr_seconds = 0.0; tr_detail = [] }
-    else begin
-      let inputs =
-        try Serde.serialize_inputs a.acc_iface a.acc_input_ty tasks
-        with Serde.Serde_error msg -> err "serialization failed: %s" msg
-      in
-      let outputs = Serde.alloc_outputs a.acc_iface n in
-      let fields =
-        try Serde.field_buffers a.acc_iface a.acc_fields
-        with Serde.Serde_error msg -> err "field packing failed: %s" msg
-      in
-      let args = (("N", Cinterp.VI n) :: inputs) @ outputs @ fields in
-      (try
-         ignore
-           (Cinterp.run_func a.acc_prog a.acc_iface.Decompile.if_kernel args)
-       with Cinterp.C_error msg -> err "kernel execution failed: %s" msg);
-      let values =
-        Array.init n (fun t ->
-            Serde.deserialize_output a.acc_iface a.acc_output_ty outputs t)
-      in
-      let report =
-        Estimate.estimate a.acc_prog ~tasks:n
-          ~buffer_elems:a.acc_buffer_elems
-      in
-      let bytes = Serde.bytes_of_iface a.acc_iface ~tasks:n in
-      let serde_s = bytes /. serde_bytes_per_second in
-      let fpga_s = report.Estimate.r_seconds in
-      note_dispatch m ~op:"map" ~id ~tasks:n ~seconds:(serde_s +. fpga_s);
-      { tr_values = values;
-        tr_seconds = serde_s +. fpga_s;
-        tr_detail = [ ("serde", serde_s); ("fpga", fpga_s) ] }
-    end
+    if n = 0 then { tr_values = [||]; tr_seconds = 0.0; tr_detail = [] }
+    else
+      accelerated m a ~op:"map" ~input_ty:a.acc_input_ty ~out_tasks:n tasks
+        (fun outputs ->
+          Array.init n (fun t ->
+              Serde.deserialize_output a.acc_iface a.acc_output_ty outputs t))
 
 let reduce_accelerated m ~id tasks =
   match find m id with
@@ -113,33 +125,10 @@ let reduce_accelerated m ~id tasks =
   | Some a ->
     if not a.acc_iface.Decompile.if_reduce then
       err "accelerator %s implements the map operator, not reduce" id;
-    let n = Array.length tasks in
-    if n = 0 then err "reduce of an empty batch";
-    let inputs =
-      try Serde.serialize_inputs a.acc_iface a.acc_output_ty tasks
-      with Serde.Serde_error msg -> err "serialization failed: %s" msg
-    in
-    let outputs = Serde.alloc_outputs a.acc_iface 1 in
-    let fields =
-      try Serde.field_buffers a.acc_iface a.acc_fields
-      with Serde.Serde_error msg -> err "field packing failed: %s" msg
-    in
-    let args = (("N", Cinterp.VI n) :: inputs) @ outputs @ fields in
-    (try
-       ignore
-         (Cinterp.run_func a.acc_prog a.acc_iface.Decompile.if_kernel args)
-     with Cinterp.C_error msg -> err "kernel execution failed: %s" msg);
-    let value = Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 in
-    let report =
-      Estimate.estimate a.acc_prog ~tasks:n ~buffer_elems:a.acc_buffer_elems
-    in
-    let bytes = Serde.bytes_of_iface a.acc_iface ~tasks:n in
-    let serde_s = bytes /. serde_bytes_per_second in
-    let fpga_s = report.Estimate.r_seconds in
-    note_dispatch m ~op:"reduce" ~id ~tasks:n ~seconds:(serde_s +. fpga_s);
-    { tr_values = [| value |];
-      tr_seconds = serde_s +. fpga_s;
-      tr_detail = [ ("serde", serde_s); ("fpga", fpga_s) ] }
+    if Array.length tasks = 0 then err "reduce of an empty batch";
+    accelerated m a ~op:"reduce" ~input_ty:a.acc_output_ty ~out_tasks:1 tasks
+      (fun outputs ->
+        [| Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 |])
 
 let map_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
   let inst = { Interp.icls = cls; ifields = fields } in

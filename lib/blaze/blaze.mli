@@ -1,6 +1,7 @@
 module Ast = S2fa_scala.Ast
 module Insn = S2fa_jvm.Insn
 module Interp = S2fa_jvm.Interp
+module Cinterp = S2fa_hlsc.Cinterp
 module Csyntax = S2fa_hlsc.Csyntax
 module Decompile = S2fa_b2c.Decompile
 module Estimate = S2fa_hls.Estimate
@@ -28,6 +29,9 @@ type accel = {
   acc_output_ty : Ast.ty;
   acc_fields : (string * Interp.value) list;
   acc_buffer_elems : (string * int) list;
+  acc_compiled : Cinterp.program;
+      (** [Cinterp.compile acc_prog], built once when the accelerator is
+          made and run on every batch. *)
 }
 
 type manager
@@ -54,7 +58,10 @@ type timed_result = {
 
 val map_accelerated : manager -> id:string -> Interp.value array -> timed_result
 (** Run a batch of tasks on the registered accelerator. Raises
-    {!Blaze_error} when the id is unknown or (de)serialization fails. *)
+    {!Blaze_error} when the id is unknown or (de)serialization fails.
+    Under a profiler the batch is a [blaze.accelerated] span with
+    [blaze.serde] and [hlsc.cinterp] children; the HLS estimate that
+    times it charges no virtual minutes ({!S2fa_obs.Obs.off_clock}). *)
 
 val reduce_accelerated :
   manager -> id:string -> Interp.value array -> timed_result

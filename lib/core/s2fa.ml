@@ -182,7 +182,8 @@ let make_accelerator ?design c ~fields =
     acc_input_ty = c.c_input_ty;
     acc_output_ty = c.c_output_ty;
     acc_fields = fields;
-    acc_buffer_elems = c.c_buffer_elems }
+    acc_buffer_elems = c.c_buffer_elems;
+    acc_compiled = S2fa_hlsc.Cinterp.compile prog }
 
 let serve_app ?design ?(weight = 1.0) ?(batch = 16) ?(queue_cap = 64) ~name
     ~fields c =

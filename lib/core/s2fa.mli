@@ -112,9 +112,9 @@ val resume :
 val make_accelerator :
   ?design:Space.cfg -> compiled -> fields:(string * Interp.value) list ->
   S2fa_blaze.Blaze.accel
-(** Package the (optionally transformed) kernel as a Blaze accelerator;
-    its id is the class's [id] constant (falling back to the class
-    name). *)
+(** Package the (optionally transformed) kernel as a Blaze accelerator,
+    compiled once for the C interpreter; its id is the class's [id]
+    constant (falling back to the class name). *)
 
 val serve_app :
   ?design:Space.cfg ->

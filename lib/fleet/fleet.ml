@@ -513,15 +513,12 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
         Serde.bytes_of_iface acc.Blaze.acc_iface ~tasks:n
         /. (opts.o_pcie_gbps *. 1.0e9)
       in
-      (* The estimator charges its modeled DSE minutes to the ambient
-         clock; serving time is the event loop's, so restore it. *)
-      let v0 = Obs.clock () in
       let r =
-        Obs.span "fleet.estimate" (fun () ->
-            Estimate.estimate ~device:opts.o_device acc.Blaze.acc_prog
-              ~tasks:n ~buffer_elems:acc.Blaze.acc_buffer_elems)
+        Obs.off_clock (fun () ->
+            Obs.span "fleet.estimate" (fun () ->
+                Estimate.estimate ~device:opts.o_device acc.Blaze.acc_prog
+                  ~tasks:n ~buffer_elems:acc.Blaze.acc_buffer_elems))
       in
-      Obs.set_clock v0;
       let s =
         opts.o_invoke_seconds +. xfer
         +. Float.max 0.0 r.Estimate.r_compute_seconds

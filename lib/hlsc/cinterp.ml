@@ -153,185 +153,360 @@ let call_math f args =
     match args with [ VI n ] -> VI (abs n) | _ -> VF (Float.abs x))
   | _ -> err "unknown C function %s/%d" f (List.length args)
 
-(* ---------- execution ---------- *)
+(* ---------- compilation ---------- *)
 
-type env = (string, cvalue ref) Hashtbl.t
+(* Every variable is resolved to a slot of its function's frame by C99
+   static scoping, and every statement and expression becomes a closure
+   over the frame. The fuel counter is shared by all frames of a run. *)
+type fuel = { mutable left : int }
 
-let run_func ?(fuel = 200_000_000) prog name args =
-  let remaining = ref fuel in
-  let rec exec_func fname fargs =
-    let f =
-      match Csyntax.find_cfunc prog fname with
-      | Some f -> f
-      | None -> err "no function %s" fname
-    in
-    let env : env = Hashtbl.create 32 in
-    List.iter
-      (fun (p : Csyntax.cparam) ->
-        match List.assoc_opt p.Csyntax.cpname fargs with
-        | Some v -> Hashtbl.replace env p.Csyntax.cpname (ref v)
-        | None -> err "%s: missing argument %s" fname p.Csyntax.cpname)
-      f.Csyntax.cfparams;
-    try
-      exec_stmts env f.Csyntax.cfbody;
-      None
-    with Return_value v -> v
-  and lookup env v =
-    match Hashtbl.find_opt env v with
-    | Some r -> r
-    | None -> err "unbound variable %s" v
-  and eval env (e : Csyntax.cexpr) : cvalue =
-    match e with
-    | Csyntax.EInt n -> VI n
-    | Csyntax.ELong n -> VL n
-    | Csyntax.EFloat f | Csyntax.EDouble f -> VF f
-    | Csyntax.EChar c -> VI (Char.code c)
-    | Csyntax.EBool b -> VI (if b then 1 else 0)
-    | Csyntax.EVar v -> !(lookup env v)
-    | Csyntax.EBin (Csyntax.CAnd, a, b) ->
-      if truthy (eval env a) then VI (if truthy (eval env b) then 1 else 0)
-      else VI 0
-    | Csyntax.EBin (Csyntax.COr, a, b) ->
-      if truthy (eval env a) then VI 1
-      else VI (if truthy (eval env b) then 1 else 0)
-    | Csyntax.EBin
-        ( ((Csyntax.CLt | Csyntax.CLe | Csyntax.CGt | Csyntax.CGe
-           | Csyntax.CEq | Csyntax.CNe) as op),
-          a,
-          b ) ->
-      compare_cv op (eval env a) (eval env b)
-    | Csyntax.EBin (op, a, b) -> arith op (eval env a) (eval env b)
-    | Csyntax.EUn (Csyntax.CNeg, a) -> (
-      match eval env a with
-      | VI n -> VI (-n)
-      | VL n -> VL (Int64.neg n)
-      | VF f -> VF (-.f)
-      | VA _ -> err "negation of array")
-    | Csyntax.EUn (Csyntax.CNot, a) -> VI (if truthy (eval env a) then 0 else 1)
-    | Csyntax.EUn (Csyntax.CBNot, a) -> (
-      match eval env a with
-      | VI n -> VI (lnot n)
-      | VL n -> VL (Int64.lognot n)
-      | _ -> err "~ on non-integer")
-    | Csyntax.EIndex (arr, idx) -> (
-      match eval env arr with
-      | VA data ->
-        let i = as_int (eval env idx) in
-        if i < 0 || i >= Array.length data then
-          err "index %d out of bounds (len %d)" i (Array.length data);
-        data.(i)
-      | _ -> err "indexing a non-array")
-    | Csyntax.ECall (f, args) -> (
-      match Csyntax.find_cfunc prog f with
-      | Some _ -> (
-        (* User function call: positional arguments. *)
-        let fn =
-          match Csyntax.find_cfunc prog f with Some fn -> fn | None -> assert false
-        in
-        let bound =
-          List.map2
-            (fun (p : Csyntax.cparam) a -> (p.Csyntax.cpname, eval env a))
-            fn.Csyntax.cfparams args
-        in
-        match exec_func f bound with
-        | Some v -> v
-        | None -> VI 0)
-      | None -> call_math f (List.map (eval env) args))
-    | Csyntax.ECond (c, a, b) ->
-      if truthy (eval env c) then eval env a else eval env b
-    | Csyntax.ECast (t, a) -> cast t (eval env a)
-  and assign env lv v =
-    match lv with
-    | Csyntax.EVar name -> lookup env name := v
-    | Csyntax.EIndex (arr, idx) -> (
-      match eval env arr with
-      | VA data ->
-        let i = as_int (eval env idx) in
-        if i < 0 || i >= Array.length data then
-          err "store index %d out of bounds (len %d)" i (Array.length data);
-        data.(i) <- v
-      | _ -> err "index-assign on non-array")
-    | _ -> err "invalid lvalue"
-  and exec_stmts env stmts = List.iter (exec_stmt env) stmts
-  (* C99 block scoping over the flat environment: declarations made by a
-     statement list shadow any outer binding only until the end of the
-     list, at which point the outer binding (or its absence) is
-     restored. [Return_value] and [C_error] abort the whole run, so
-     skipping the restore on those paths is harmless. *)
-  and exec_block env stmts =
-    let saved = ref [] in
-    List.iter
-      (fun s ->
-        (match s with
-        | Csyntax.SDecl (_, name, _) ->
-          if not (List.mem_assoc name !saved) then
-            saved := (name, Hashtbl.find_opt env name) :: !saved
-        | _ -> ());
-        exec_stmt env s)
-      stmts;
-    List.iter
-      (fun (name, prior) ->
-        match prior with
-        | Some r -> Hashtbl.replace env name r
-        | None -> Hashtbl.remove env name)
-      !saved
-  and exec_stmt env s =
-    decr remaining;
-    if !remaining <= 0 then err "fuel exhausted";
-    match s with
-    | Csyntax.SDecl (t, name, init) ->
-      let v = match init with Some e -> eval env e | None -> alloc t in
-      Hashtbl.replace env name (ref v)
-    | Csyntax.SAssign (lv, e) -> assign env lv (eval env e)
-    | Csyntax.SIf (c, a, b) ->
-      if truthy (eval env c) then exec_block env a else exec_block env b
-    | Csyntax.SWhile (c, b) ->
-      while truthy (eval env c) do
-        decr remaining;
-        if !remaining <= 0 then err "fuel exhausted";
-        exec_block env b
-      done
-    | Csyntax.SFor l ->
-      let lo = as_int (eval env l.Csyntax.llo) in
-      (* The counter carries the loop's declared induction type so that
-         arithmetic on it promotes the same way as in the emitted C. *)
-      let box n =
-        match l.Csyntax.lvty with
-        | Csyntax.CLong -> VL (Int64.of_int n)
-        | _ -> VI n
-      in
-      (* [ldecl] loops declare their counter in the for-init, so it is
-         scoped to the loop (C99); otherwise the counter is an outer
-         variable whose exit value stays observable after the loop. *)
-      let prior =
-        if l.Csyntax.ldecl then Hashtbl.find_opt env l.Csyntax.lvar
-        else None
-      in
-      let cell =
-        if l.Csyntax.ldecl then begin
-          Hashtbl.replace env l.Csyntax.lvar (ref (box lo));
-          lookup env l.Csyntax.lvar
-        end
-        else begin
-          let cell = lookup env l.Csyntax.lvar in
-          cell := box lo;
-          cell
-        end
-      in
-      let continue_ () = as_int !cell < as_int (eval env l.Csyntax.lhi) in
-      while continue_ () do
-        decr remaining;
-        if !remaining <= 0 then err "fuel exhausted";
-        exec_block env l.Csyntax.lbody;
-        cell := box (as_int !cell + l.Csyntax.lstep)
-      done;
-      if l.Csyntax.ldecl then begin
-        match prior with
-        | Some r -> Hashtbl.replace env l.Csyntax.lvar r
-        | None -> Hashtbl.remove env l.Csyntax.lvar
-      end
-    | Csyntax.SExpr e -> ignore (eval env e)
-    | Csyntax.SReturn v ->
-      raise (Return_value (Option.map (eval env) v))
+type frame = { slots : cvalue array; fuel : fuel }
+
+type cfun = {
+  f_name : string;
+  f_params : string array;
+  f_first : int array;
+      (* per parameter, the first parameter of the same name: a call
+         binds a repeated name to its first argument *)
+  mutable f_size : int;  (* frame slots *)
+  mutable f_body : frame -> unit;
+}
+
+type program = cfun array
+
+(* The frame slot of each name in scope. *)
+module Scope = Map.Make (String)
+
+let tick fr =
+  let f = fr.fuel in
+  f.left <- f.left - 1;
+  if f.left <= 0 then err "fuel exhausted"
+
+let int_cmp op (x : int) (y : int) =
+  match op with
+  | Csyntax.CLt -> x < y
+  | Csyntax.CLe -> x <= y
+  | Csyntax.CGt -> x > y
+  | Csyntax.CGe -> x >= y
+  | Csyntax.CEq -> x = y
+  | _ -> x <> y
+
+let is_cmp = function
+  | Csyntax.CLt | Csyntax.CLe | Csyntax.CGt | Csyntax.CGe | Csyntax.CEq
+  | Csyntax.CNe ->
+    true
+  | _ -> false
+
+let index data i =
+  if i < 0 || i >= Array.length data then
+    err "index %d out of bounds (len %d)" i (Array.length data)
+
+(* Enter [f] with its parameters already in the first slots of [slots]. *)
+let enter f slots fuel =
+  match f.f_body { slots; fuel } with
+  | () -> None
+  | exception Return_value v -> v
+
+let compile (prog : Csyntax.cprog) : program =
+  let funcs =
+    Array.of_list
+      (List.map
+         (fun (f : Csyntax.cfunc) ->
+           let params =
+             Array.of_list
+               (List.map (fun (p : Csyntax.cparam) -> p.Csyntax.cpname)
+                  f.Csyntax.cfparams)
+           in
+           let first i =
+             let rec go j =
+               if String.equal params.(j) params.(i) then j else go (j + 1)
+             in
+             go 0
+           in
+           { f_name = f.Csyntax.cfname;
+             f_params = params;
+             f_first = Array.init (Array.length params) first;
+             f_size = 0;
+             f_body = ignore })
+         prog.Csyntax.cfuncs)
   in
-  exec_func name args
+  let find name = Array.find_opt (fun f -> String.equal f.f_name name) funcs in
+  let compile_func (f : Csyntax.cfunc) cf =
+    let next = ref (Array.length cf.f_params) in
+    let fresh () =
+      let s = !next in
+      incr next;
+      s
+    in
+    let zero = VI 0 in
+    let rec int_of sc e =
+      let e = expr sc e in
+      fun fr -> as_int (e fr)
+    (* [e] in a boolean context, without boxing the truth. *)
+    and cond sc (e : Csyntax.cexpr) : frame -> bool =
+      match e with
+      | Csyntax.EBin (Csyntax.CAnd, a, b) ->
+        let a = cond sc a and b = cond sc b in
+        fun fr -> a fr && b fr
+      | Csyntax.EBin (Csyntax.COr, a, b) ->
+        let a = cond sc a and b = cond sc b in
+        fun fr -> a fr || b fr
+      | Csyntax.EUn (Csyntax.CNot, a) ->
+        let a = cond sc a in
+        fun fr -> not (a fr)
+      | Csyntax.EBin (op, a, b) when is_cmp op ->
+        let a = expr sc a and b = expr sc b in
+        fun fr ->
+          let y = b fr in
+          (match (a fr, y) with
+          | VI x, VI y -> int_cmp op x y
+          | x, y -> truthy (compare_cv op x y))
+      | _ ->
+        let e = expr sc e in
+        fun fr -> truthy (e fr)
+    (* Binary operands evaluate right to left: when both fail, the
+       right one's error is the one reported. *)
+    and expr sc (e : Csyntax.cexpr) : frame -> cvalue =
+      match e with
+      | Csyntax.EInt n ->
+        let v = VI n in
+        fun _ -> v
+      | Csyntax.ELong n ->
+        let v = VL n in
+        fun _ -> v
+      | Csyntax.EFloat x | Csyntax.EDouble x ->
+        let v = VF x in
+        fun _ -> v
+      | Csyntax.EChar c ->
+        let v = VI (Char.code c) in
+        fun _ -> v
+      | Csyntax.EBool b ->
+        let v = VI (if b then 1 else 0) in
+        fun _ -> v
+      | Csyntax.EVar v -> (
+        match Scope.find_opt v sc with
+        | Some s -> fun fr -> fr.slots.(s)
+        | None -> fun _ -> err "unbound variable %s" v)
+      | Csyntax.EBin ((Csyntax.CAnd | Csyntax.COr), _, _)
+      | Csyntax.EUn (Csyntax.CNot, _) ->
+        let c = cond sc e in
+        fun fr -> VI (if c fr then 1 else 0)
+      | Csyntax.EBin (op, a, b) when is_cmp op ->
+        let a = expr sc a and b = expr sc b in
+        fun fr ->
+          let y = b fr in
+          compare_cv op (a fr) y
+      | Csyntax.EBin (op, a, b) ->
+        let a = expr sc a and b = expr sc b in
+        fun fr ->
+          let y = b fr in
+          arith op (a fr) y
+      | Csyntax.EUn (Csyntax.CNeg, a) -> (
+        let a = expr sc a in
+        fun fr ->
+          match a fr with
+          | VI n -> VI (-n)
+          | VL n -> VL (Int64.neg n)
+          | VF f -> VF (-.f)
+          | VA _ -> err "negation of array")
+      | Csyntax.EUn (Csyntax.CBNot, a) -> (
+        let a = expr sc a in
+        fun fr ->
+          match a fr with
+          | VI n -> VI (lnot n)
+          | VL n -> VL (Int64.lognot n)
+          | _ -> err "~ on non-integer")
+      | Csyntax.EIndex (arr, idx) -> (
+        let arr = expr sc arr and idx = int_of sc idx in
+        fun fr ->
+          match arr fr with
+          | VA data ->
+            let i = idx fr in
+            index data i;
+            data.(i)
+          | _ -> err "indexing a non-array")
+      | Csyntax.ECall (name, args) -> (
+        let args = List.map (expr sc) args in
+        match find name with
+        | None -> fun fr -> call_math name (List.map (fun a -> a fr) args)
+        | Some callee when List.length args <> Array.length callee.f_params ->
+          fun _ -> invalid_arg "List.map2"
+        | Some callee ->
+          let args = Array.of_list args in
+          fun fr ->
+            (* Arguments evaluate left to right; a repeated parameter
+               name binds its first argument. *)
+            let slots = Array.make callee.f_size zero in
+            for i = 0 to Array.length args - 1 do
+              slots.(i) <- args.(i) fr
+            done;
+            for i = 0 to Array.length args - 1 do
+              slots.(i) <- slots.(callee.f_first.(i))
+            done;
+            (match enter callee slots fr.fuel with Some v -> v | None -> zero))
+      | Csyntax.ECond (c, a, b) ->
+        let c = cond sc c and a = expr sc a and b = expr sc b in
+        fun fr -> if c fr then a fr else b fr
+      | Csyntax.ECast (t, a) ->
+        let a = expr sc a in
+        fun fr -> cast t (a fr)
+    in
+    let rec block sc stmts =
+      let rec go sc acc = function
+        | [] -> List.rev acc
+        | Csyntax.SDecl (t, name, init) :: rest ->
+          let slot = fresh () in
+          let s = decl sc slot t init in
+          go (Scope.add name slot sc) (s :: acc) rest
+        | s :: rest -> go sc (stmt sc s :: acc) rest
+      in
+      match Array.of_list (go sc [] stmts) with
+      | [||] -> fun _ -> ()
+      | [| s |] -> s
+      | ss ->
+        fun fr ->
+          for i = 0 to Array.length ss - 1 do
+            ss.(i) fr
+          done
+    (* [sc] does not bind the declared name yet: its initializer sees
+       the outer binding. *)
+    and decl sc slot t init =
+      match init with
+      | Some e ->
+        let e = expr sc e in
+        fun fr ->
+          tick fr;
+          fr.slots.(slot) <- e fr
+      | None ->
+        fun fr ->
+          tick fr;
+          fr.slots.(slot) <- alloc t
+    and stmt sc (s : Csyntax.cstmt) : frame -> unit =
+      match s with
+      | Csyntax.SDecl (t, _, init) -> decl sc (fresh ()) t init
+      | Csyntax.SAssign (Csyntax.EVar v, e) -> (
+        let e = expr sc e in
+        match Scope.find_opt v sc with
+        | Some slot ->
+          fun fr ->
+            tick fr;
+            fr.slots.(slot) <- e fr
+        | None ->
+          fun fr ->
+            tick fr;
+            ignore (e fr);
+            err "unbound variable %s" v)
+      | Csyntax.SAssign (Csyntax.EIndex (arr, idx), e) ->
+        let arr = expr sc arr and idx = int_of sc idx and e = expr sc e in
+        fun fr ->
+          tick fr;
+          let v = e fr in
+          (match arr fr with
+          | VA data ->
+            let i = idx fr in
+            if i < 0 || i >= Array.length data then
+              err "store index %d out of bounds (len %d)" i
+                (Array.length data);
+            data.(i) <- v
+          | _ -> err "index-assign on non-array")
+      | Csyntax.SAssign (_, e) ->
+        let e = expr sc e in
+        fun fr ->
+          tick fr;
+          ignore (e fr);
+          err "invalid lvalue"
+      | Csyntax.SIf (c, a, b) ->
+        let c = cond sc c and a = block sc a and b = block sc b in
+        fun fr ->
+          tick fr;
+          if c fr then a fr else b fr
+      | Csyntax.SWhile (c, body) ->
+        let c = cond sc c and body = block sc body in
+        fun fr ->
+          tick fr;
+          while c fr do
+            tick fr;
+            body fr
+          done
+      | Csyntax.SFor l -> loop sc l
+      | Csyntax.SExpr e ->
+        let e = expr sc e in
+        fun fr ->
+          tick fr;
+          ignore (e fr)
+      | Csyntax.SReturn r ->
+        let r = Option.map (expr sc) r in
+        fun fr ->
+          tick fr;
+          raise (Return_value (Option.map (fun r -> r fr) r))
+    (* The counter carries the loop's declared induction type, so that
+       arithmetic on it promotes as in the emitted C. An [ldecl] loop
+       declares its counter in the for-init, scoped to the loop (C99);
+       otherwise the counter is an outer variable whose exit value stays
+       observable after the loop. *)
+    and loop sc (l : Csyntax.loop) =
+      let lo = int_of sc l.Csyntax.llo in
+      let counter =
+        if l.Csyntax.ldecl then Some (fresh ())
+        else Scope.find_opt l.Csyntax.lvar sc
+      in
+      match counter with
+      | None ->
+        let v = l.Csyntax.lvar in
+        fun fr ->
+          tick fr;
+          ignore (lo fr);
+          err "unbound variable %s" v
+      | Some slot ->
+        let inner =
+          if l.Csyntax.ldecl then Scope.add l.Csyntax.lvar slot sc else sc
+        in
+        let hi = int_of inner l.Csyntax.lhi
+        and body = block inner l.Csyntax.lbody in
+        let step = l.Csyntax.lstep in
+        let box =
+          if l.Csyntax.lvty = Csyntax.CLong then fun n -> VL (Int64.of_int n)
+          else fun n -> VI n
+        in
+        fun fr ->
+          tick fr;
+          let s = fr.slots in
+          s.(slot) <- box (lo fr);
+          while
+            let h = hi fr in
+            as_int s.(slot) < h
+          do
+            tick fr;
+            body fr;
+            s.(slot) <- box (as_int s.(slot) + step)
+          done
+    in
+    let sc =
+      Array.fold_left
+        (fun (sc, i) p -> (Scope.add p i sc, i + 1))
+        (Scope.empty, 0) cf.f_params
+      |> fst
+    in
+    let body = block sc f.Csyntax.cfbody in
+    cf.f_size <- max 1 !next;
+    cf.f_body <- body
+  in
+  List.iteri (fun i f -> compile_func f funcs.(i)) prog.Csyntax.cfuncs;
+  funcs
+
+let run ?(fuel = 200_000_000) (prog : program) name args =
+  let f =
+    match Array.find_opt (fun f -> String.equal f.f_name name) prog with
+    | Some f -> f
+    | None -> err "no function %s" name
+  in
+  let slots = Array.make f.f_size (VI 0) in
+  Array.iteri
+    (fun i p ->
+      match List.assoc_opt p args with
+      | Some v -> slots.(i) <- v
+      | None -> err "%s: missing argument %s" name p)
+    f.f_params;
+  enter f slots { left = fuel }
+
+let run_func ?fuel prog name args = run ?fuel (compile prog) name args

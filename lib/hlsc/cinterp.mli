@@ -3,7 +3,8 @@
     Used as the functional-equivalence oracle: the bytecode interpreter and
     this interpreter must agree on every kernel, before and after every
     Merlin transformation. Also executes the "FPGA side" of the Blaze
-    simulator (timing comes from {!S2fa_hls}, not from here). *)
+    simulator (timing comes from {!S2fa_hls}, not from here), where each
+    accelerator is {!compile}d once and {!run} per batch. *)
 
 type cvalue =
   | VI of int          (** int/char/bool *)
@@ -46,10 +47,27 @@ val cast : Csyntax.cty -> cvalue -> cvalue
 val call_math : string -> cvalue list -> cvalue
 (** The libm subset available to kernels (sqrt, exp, pow, fmin, ...). *)
 
+type program
+(** A program resolved for execution: every variable is a slot of its
+    function's frame (C99 static scoping), every user call a direct
+    reference to the callee, and every statement and expression a
+    closure over the frame. Build it once and run it many times. *)
+
+val compile : Csyntax.cprog -> program
+(** Never fails: a name no declaration reaches, or a call whose arity
+    does not match its callee, compiles to code that raises only if it
+    runs. *)
+
+val run :
+  ?fuel:int -> program -> string -> (string * cvalue) list -> cvalue option
+(** [run prog name args] executes function [name] with the named
+    argument values (missing parameters raise {!C_error}); returns the
+    function result. Buffers passed as [VA] are mutated in place, which
+    is how kernels deliver their outputs. [fuel] bounds executed
+    statements plus loop iterations (default 200 million); exhausting
+    it raises [C_error "fuel exhausted"]. Operands evaluate right to
+    left, so when both fail the right one's error is reported. *)
+
 val run_func :
   ?fuel:int -> Csyntax.cprog -> string -> (string * cvalue) list -> cvalue option
-(** [run_func prog name args] executes function [name] with the named
-    argument values (missing parameters raise {!C_error}); returns the
-    function result. Buffers passed as [VA] are mutated in place, which is
-    how kernels deliver their outputs. [fuel] bounds executed statements
-    (default 200 million). *)
+(** [compile] then [run], for one-shot callers. *)

@@ -269,56 +269,67 @@ let compare_values ty cond a b =
   | Insn.Ceq -> c = 0
   | Insn.Cne -> c <> 0
 
-let convert from_ty to_ty v =
-  let to_float () =
-    match v with
-    | VInt n -> float_of_int n
-    | VChar c -> float_of_int (Char.code c)
-    | VLong n -> Int64.to_float n
-    | VFloat f | VDouble f -> f
-    | _ -> err "conv: non-numeric"
-  in
-  let to_int () =
-    match v with
-    | VInt n -> n
-    | VChar c -> Char.code c
-    | VLong n -> Int64.to_int n
-    | VFloat f | VDouble f -> int_of_float f
-    | _ -> err "conv: non-numeric"
-  in
-  ignore from_ty;
+let conv_float = function
+  | VInt n -> float_of_int n
+  | VChar c -> float_of_int (Char.code c)
+  | VLong n -> Int64.to_float n
+  | VFloat f | VDouble f -> f
+  | _ -> err "conv: non-numeric"
+
+let conv_int = function
+  | VInt n -> n
+  | VChar c -> Char.code c
+  | VLong n -> Int64.to_int n
+  | VFloat f | VDouble f -> int_of_float f
+  | _ -> err "conv: non-numeric"
+
+let convert to_ty v =
   match to_ty with
-  | Ast.TInt -> VInt (to_int ())
+  | Ast.TInt -> VInt (conv_int v)
   | Ast.TLong -> (
     match v with
     | VLong n -> VLong n
     | VFloat f | VDouble f -> VLong (Int64.of_float f)
-    | _ -> VLong (Int64.of_int (to_int ())))
-  | Ast.TFloat -> VFloat (to_float ())
-  | Ast.TDouble -> VDouble (to_float ())
-  | Ast.TChar -> VChar (Char.chr (to_int () land 0xff))
+    | _ -> VLong (Int64.of_int (conv_int v)))
+  | Ast.TFloat -> VFloat (conv_float v)
+  | Ast.TDouble -> VDouble (conv_float v)
+  | Ast.TChar -> VChar (Char.chr (conv_int v land 0xff))
   | t -> err "conv to %s" (Ast.string_of_ty t)
 
-let eval_math f args =
-  match (f, args) with
-  | "sqrt", [ x ] -> VDouble (sqrt (as_float x))
-  | "exp", [ x ] -> VDouble (exp (as_float x))
-  | "log", [ x ] -> VDouble (log (as_float x))
-  | "floor", [ x ] -> VDouble (floor (as_float x))
-  | "ceil", [ x ] -> VDouble (ceil (as_float x))
-  | "pow", [ x; y ] -> VDouble (Float.pow (as_float x) (as_float y))
-  | "abs", [ VInt n ] -> VInt (abs n)
-  | "abs", [ VLong n ] -> VLong (Int64.abs n)
-  | "abs", [ (VFloat _ | VDouble _) as x ] -> VDouble (Float.abs (as_float x))
-  | "min", [ VInt a; VInt b ] -> VInt (min a b)
-  | "max", [ VInt a; VInt b ] -> VInt (max a b)
-  | "min", [ VLong a; VLong b ] -> VLong (if Int64.compare a b <= 0 then a else b)
-  | "max", [ VLong a; VLong b ] -> VLong (if Int64.compare a b >= 0 then a else b)
-  | "min", [ a; b ] -> VDouble (min (as_float a) (as_float b))
-  | "max", [ a; b ] -> VDouble (max (as_float a) (as_float b))
-  | _ -> err "math.%s: bad arguments" f
+(* The [math.*] intrinsics, resolved by name once, at decode time. *)
+let math1 f : value -> value =
+  match f with
+  | "sqrt" -> fun x -> VDouble (sqrt (as_float x))
+  | "exp" -> fun x -> VDouble (exp (as_float x))
+  | "log" -> fun x -> VDouble (log (as_float x))
+  | "floor" -> fun x -> VDouble (floor (as_float x))
+  | "ceil" -> fun x -> VDouble (ceil (as_float x))
+  | "abs" -> (
+    function
+    | VInt n -> VInt (abs n)
+    | VLong n -> VLong (Int64.abs n)
+    | (VFloat _ | VDouble _) as x -> VDouble (Float.abs (as_float x))
+    | _ -> err "math.abs: bad arguments")
+  | f -> fun _ -> err "math.%s: bad arguments" f
 
-(* ---------- execution ---------- *)
+let math2 f : value -> value -> value =
+  match f with
+  | "pow" -> fun x y -> VDouble (Float.pow (as_float x) (as_float y))
+  | "min" -> (
+    fun a b ->
+      match (a, b) with
+      | VInt a, VInt b -> VInt (min a b)
+      | VLong a, VLong b -> VLong (if Int64.compare a b <= 0 then a else b)
+      | a, b -> VDouble (min (as_float a) (as_float b)))
+  | "max" -> (
+    fun a b ->
+      match (a, b) with
+      | VInt a, VInt b -> VInt (max a b)
+      | VLong a, VLong b -> VLong (if Int64.compare a b >= 0 then a else b)
+      | a, b -> VDouble (max (as_float a) (as_float b)))
+  | f -> fun _ _ -> err "math.%s: bad arguments" f
+
+(* ---------- decoding ---------- *)
 
 let insn_cost cm = function
   | Insn.Ldc _ -> cm.c_const
@@ -346,139 +357,308 @@ let insn_cost cm = function
   | Insn.Ret | Insn.RetVoid -> cm.c_branch
   | Insn.Dup | Insn.Pop -> cm.c_local
 
-let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
-    args =
-  let cycles = ref 0.0 in
-  let insns = ref 0 in
-  let remaining = ref fuel in
-  let rec exec_method mname margs =
-    let m =
-      match Insn.find_jmethod inst.icls mname with
-      | Some m -> m
-      | None -> err "no method %s" mname
+(* An instruction resolved against its class and instance: callees are
+   method indices, fields are their values, constants are pre-boxed,
+   and Int arithmetic and compares have their own cases. *)
+type op =
+  | OConst of value
+  | OString of string  (* a fresh array per execution, like [value_of_lit] *)
+  | OLoad of int
+  | OStore of int
+  | OBadSlot  (* a slot outside the frame, as unverified code may name *)
+  | OALoad
+  | OAStore
+  | OArrayLength
+  | ONewArr of Ast.ty * int list
+  | ONewTup of int
+  | OTupGet of int
+  | OField of value
+  | ONoField of string
+  | OIntBin of Ast.binop  (* Int, Char and Boolean operands *)
+  | OBin of Ast.ty * Ast.binop
+  | OUn of Ast.ty * Ast.unop
+  | OConv of Ast.ty
+  | OMath1 of (value -> value)
+  | OMath2 of (value -> value -> value)
+  | OInvoke of int * string * int  (* callee index, or -1 if none; name; argc *)
+  | OIntCmpJmp of Insn.cond * int
+  | OCmpJmp of Ast.ty * Insn.cond * int
+  | OIfFalse of int
+  | OGoto of int
+  | ORet
+  | ORetVoid
+  | ODup
+  | OPop
+
+type dmethod = {
+  d_name : string;
+  d_argc : int;
+  d_slots : int;  (* frame size, at least 1 *)
+  d_code : op array;
+  d_cost : float array;  (* cycles of each pc under the run's cost model *)
+}
+
+let decode cost inst =
+  let methods = Array.of_list inst.icls.Insn.jmethods in
+  let index name =
+    let rec go i =
+      if i = Array.length methods then -1
+      else if String.equal methods.(i).Insn.jname name then i
+      else go (i + 1)
     in
-    if List.length margs <> List.length m.Insn.jargs then
-      err "%s: arity mismatch" mname;
-    let locals = Array.make (max 1 m.Insn.jslots) VUnit in
-    List.iteri (fun i v -> locals.(i) <- v) margs;
-    let stack = ref [] in
-    let push v = stack := v :: !stack in
-    let pop () =
-      match !stack with
-      | v :: rest ->
-        stack := rest;
-        v
-      | [] -> err "%s: operand stack underflow" mname
-    in
-    let code = m.Insn.jcode in
-    let rec step pc =
-      decr remaining;
-      if !remaining <= 0 then err "fuel exhausted (infinite loop?)";
-      incr insns;
-      let ins = code.(pc) in
-      cycles := !cycles +. insn_cost cost ins;
-      match ins with
-      | Insn.Ldc l ->
-        push (value_of_lit l);
-        step (pc + 1)
-      | Insn.Load s ->
-        push locals.(s);
-        step (pc + 1)
-      | Insn.Store s ->
-        locals.(s) <- pop ();
-        step (pc + 1)
-      | Insn.ALoad ->
-        let idx = as_int (pop ()) in
-        let arr = as_arr (pop ()) in
-        if idx < 0 || idx >= Array.length arr.adata then
-          err "%s: index %d out of bounds (len %d)" mname idx
-            (Array.length arr.adata);
-        push arr.adata.(idx);
-        step (pc + 1)
-      | Insn.AStore ->
-        let v = pop () in
-        let idx = as_int (pop ()) in
-        let arr = as_arr (pop ()) in
-        if idx < 0 || idx >= Array.length arr.adata then
-          err "%s: index %d out of bounds (len %d)" mname idx
-            (Array.length arr.adata);
-        arr.adata.(idx) <- v;
-        step (pc + 1)
-      | Insn.ArrayLength ->
-        let arr = as_arr (pop ()) in
-        push (VInt (Array.length arr.adata));
-        step (pc + 1)
-      | Insn.NewArr (t, dims) ->
-        push (alloc_array t dims);
-        step (pc + 1)
-      | Insn.NewTup n ->
-        let vals = Array.make n VUnit in
-        for i = n - 1 downto 0 do
-          vals.(i) <- pop ()
-        done;
-        push (VTuple vals);
-        step (pc + 1)
-      | Insn.TupGet i -> (
-        match pop () with
-        | VTuple t when i < Array.length t ->
-          push t.(i);
-          step (pc + 1)
-        | _ -> err "%s: tupget on non-tuple" mname)
+    go 0
+  in
+  let decode_method (m : Insn.methd) =
+    let slots = max 1 m.Insn.jslots in
+    let slot s k = if s >= 0 && s < slots then k s else OBadSlot in
+    let op = function
+      | Insn.Ldc (Ast.LString s) -> OString s
+      | Insn.Ldc l -> OConst (value_of_lit l)
+      | Insn.Load s -> slot s (fun s -> OLoad s)
+      | Insn.Store s -> slot s (fun s -> OStore s)
+      | Insn.ALoad -> OALoad
+      | Insn.AStore -> OAStore
+      | Insn.ArrayLength -> OArrayLength
+      | Insn.NewArr (t, dims) -> ONewArr (t, dims)
+      | Insn.NewTup n -> ONewTup n
+      | Insn.TupGet i -> OTupGet i
       | Insn.GetField f -> (
         match List.assoc_opt f inst.ifields with
-        | Some v ->
-          push v;
-          step (pc + 1)
-        | None -> err "%s: no field %s" mname f)
-      | Insn.Bin (ty, op) ->
-        let b = pop () in
-        let a = pop () in
-        push (eval_bin ty op a b);
-        step (pc + 1)
-      | Insn.Un (ty, op) -> (
-        let a = pop () in
-        (match (op, ty) with
-        | Ast.Neg, (Ast.TFloat) -> push (VFloat (-.as_float a))
-        | Ast.Neg, (Ast.TDouble) -> push (VDouble (-.as_float a))
-        | Ast.Neg, Ast.TLong -> push (VLong (Int64.neg (as_long a)))
-        | Ast.Neg, _ -> push (VInt (-as_int a))
-        | Ast.Not, _ -> push (VBool (not (as_bool a)))
-        | Ast.BNot, Ast.TLong -> push (VLong (Int64.lognot (as_long a)))
-        | Ast.BNot, _ -> push (VInt (lnot (as_int a))));
-        step (pc + 1))
-      | Insn.Conv (a, b) ->
-        let v = pop () in
-        push (convert a b v);
-        step (pc + 1)
+        | Some v -> OField v
+        | None -> ONoField f)
+      | Insn.Bin ((Ast.TInt | Ast.TChar | Ast.TBoolean), op) -> OIntBin op
+      | Insn.Bin (ty, op) -> OBin (ty, op)
+      | Insn.Un (ty, op) -> OUn (ty, op)
+      | Insn.Conv (_, ty) -> OConv ty
       | Insn.MathOp f ->
-        let n = Insn.math_arity f in
-        let args = List.init n (fun _ -> pop ()) in
-        push (eval_math f (List.rev args));
-        step (pc + 1)
-      | Insn.Invoke (callee, n) ->
-        let args = List.init n (fun _ -> pop ()) in
-        let res = exec_method callee (List.rev args) in
-        (match res with VUnit -> () | v -> push v);
-        step (pc + 1)
-      | Insn.CmpJmp (ty, cond, l) ->
-        let b = pop () in
-        let a = pop () in
-        if compare_values ty cond a b then step l else step (pc + 1)
-      | Insn.IfFalse l ->
-        if as_bool (pop ()) then step (pc + 1) else step l
-      | Insn.Goto l -> step l
-      | Insn.Ret -> pop ()
-      | Insn.RetVoid -> VUnit
-      | Insn.Dup ->
-        let v = pop () in
-        push v;
-        push v;
-        step (pc + 1)
-      | Insn.Pop ->
-        ignore (pop ());
-        step (pc + 1)
+        if Insn.math_arity f = 2 then OMath2 (math2 f) else OMath1 (math1 f)
+      | Insn.Invoke (callee, n) -> OInvoke (index callee, callee, n)
+      | Insn.CmpJmp ((Ast.TInt | Ast.TChar), c, l) -> OIntCmpJmp (c, l)
+      | Insn.CmpJmp (ty, c, l) -> OCmpJmp (ty, c, l)
+      | Insn.IfFalse l -> OIfFalse l
+      | Insn.Goto l -> OGoto l
+      | Insn.Ret -> ORet
+      | Insn.RetVoid -> ORetVoid
+      | Insn.Dup -> ODup
+      | Insn.Pop -> OPop
     in
-    step 0
+    { d_name = m.Insn.jname;
+      d_argc = List.length m.Insn.jargs;
+      d_slots = slots;
+      d_code = Array.map op m.Insn.jcode;
+      d_cost = Array.map (insn_cost cost) m.Insn.jcode }
   in
-  let rvalue = exec_method name args in
-  { rvalue; rcycles = !cycles; rinsns = !insns }
+  Array.map decode_method methods
+
+(* ---------- execution ---------- *)
+
+(* One run's machine: every frame's operands live on one stack and every
+   frame's locals in one array, so a call allocates nothing. A frame owns
+   the stack above its base [sb] and the locals from its base [bp]. *)
+type machine = {
+  methods : dmethod array;
+  mutable stack : value array;
+  mutable sp : int;
+  mutable locals : value array;
+  mutable lp : int;  (* first local past the innermost frame *)
+  mutable fuel : int;  (* instructions left *)
+}
+
+(* Only float fields, so the sum is stored unboxed. *)
+type cycles = { mutable cycles : float }
+
+let grow a need =
+  let b = Array.make (max need (2 * Array.length a)) VUnit in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let push mc v =
+  if mc.sp = Array.length mc.stack then mc.stack <- grow mc.stack (mc.sp + 1);
+  mc.stack.(mc.sp) <- v;
+  mc.sp <- mc.sp + 1
+
+let underflow m = err "%s: operand stack underflow" m.d_name
+
+let pop mc m sb =
+  if mc.sp <= sb then underflow m;
+  mc.sp <- mc.sp - 1;
+  mc.stack.(mc.sp)
+
+let bounds m idx arr =
+  if idx < 0 || idx >= Array.length arr.adata then
+    err "%s: index %d out of bounds (len %d)" m.d_name idx
+      (Array.length arr.adata)
+
+let int_cond c (x : int) (y : int) =
+  match c with
+  | Insn.Clt -> x < y
+  | Insn.Cle -> x <= y
+  | Insn.Cgt -> x > y
+  | Insn.Cge -> x >= y
+  | Insn.Ceq -> x = y
+  | Insn.Cne -> x <> y
+
+(* Instructions are charged one at a time, in execution order, so the
+   cycle sum is the same float whatever the cost model. *)
+let rec exec mc cy m bp sb pc =
+  mc.fuel <- mc.fuel - 1;
+  if mc.fuel <= 0 then err "fuel exhausted (infinite loop?)";
+  cy.cycles <- cy.cycles +. m.d_cost.(pc);
+  match m.d_code.(pc) with
+  | OConst v ->
+    push mc v;
+    exec mc cy m bp sb (pc + 1)
+  | OString s ->
+    push mc (value_of_lit (Ast.LString s));
+    exec mc cy m bp sb (pc + 1)
+  | OLoad s ->
+    push mc mc.locals.(bp + s);
+    exec mc cy m bp sb (pc + 1)
+  | OStore s ->
+    mc.locals.(bp + s) <- pop mc m sb;
+    exec mc cy m bp sb (pc + 1)
+  | OBadSlot -> invalid_arg "index out of bounds"
+  | OALoad ->
+    let idx = as_int (pop mc m sb) in
+    let arr = as_arr (pop mc m sb) in
+    bounds m idx arr;
+    push mc arr.adata.(idx);
+    exec mc cy m bp sb (pc + 1)
+  | OAStore ->
+    let v = pop mc m sb in
+    let idx = as_int (pop mc m sb) in
+    let arr = as_arr (pop mc m sb) in
+    bounds m idx arr;
+    arr.adata.(idx) <- v;
+    exec mc cy m bp sb (pc + 1)
+  | OArrayLength ->
+    let arr = as_arr (pop mc m sb) in
+    push mc (VInt (Array.length arr.adata));
+    exec mc cy m bp sb (pc + 1)
+  | ONewArr (t, dims) ->
+    push mc (alloc_array t dims);
+    exec mc cy m bp sb (pc + 1)
+  | ONewTup n ->
+    if mc.sp - sb < n then underflow m;
+    mc.sp <- mc.sp - n;
+    push mc (VTuple (Array.sub mc.stack mc.sp n));
+    exec mc cy m bp sb (pc + 1)
+  | OTupGet i -> (
+    match pop mc m sb with
+    | VTuple t when i < Array.length t ->
+      push mc t.(i);
+      exec mc cy m bp sb (pc + 1)
+    | _ -> err "%s: tupget on non-tuple" m.d_name)
+  | OField v ->
+    push mc v;
+    exec mc cy m bp sb (pc + 1)
+  | ONoField f -> err "%s: no field %s" m.d_name f
+  | OIntBin op ->
+    let b = pop mc m sb in
+    let a = pop mc m sb in
+    push mc
+      (match (a, b) with
+      | VInt x, VInt y -> VInt (int_binop op x y)
+      | _ -> eval_bin Ast.TInt op a b);
+    exec mc cy m bp sb (pc + 1)
+  | OBin (ty, op) ->
+    let b = pop mc m sb in
+    let a = pop mc m sb in
+    push mc (eval_bin ty op a b);
+    exec mc cy m bp sb (pc + 1)
+  | OUn (ty, op) ->
+    let a = pop mc m sb in
+    push mc
+      (match (op, ty) with
+      | Ast.Neg, Ast.TFloat -> VFloat (-.as_float a)
+      | Ast.Neg, Ast.TDouble -> VDouble (-.as_float a)
+      | Ast.Neg, Ast.TLong -> VLong (Int64.neg (as_long a))
+      | Ast.Neg, _ -> VInt (-as_int a)
+      | Ast.Not, _ -> VBool (not (as_bool a))
+      | Ast.BNot, Ast.TLong -> VLong (Int64.lognot (as_long a))
+      | Ast.BNot, _ -> VInt (lnot (as_int a)));
+    exec mc cy m bp sb (pc + 1)
+  | OConv ty ->
+    let v = pop mc m sb in
+    push mc (convert ty v);
+    exec mc cy m bp sb (pc + 1)
+  | OMath1 f ->
+    let x = pop mc m sb in
+    push mc (f x);
+    exec mc cy m bp sb (pc + 1)
+  | OMath2 f ->
+    let b = pop mc m sb in
+    let a = pop mc m sb in
+    push mc (f a b);
+    exec mc cy m bp sb (pc + 1)
+  | OInvoke (ci, name, n) ->
+    if mc.sp - sb < n then underflow m;
+    if ci < 0 then err "no method %s" name;
+    (match call mc cy mc.methods.(ci) n with
+    | VUnit -> ()
+    | v -> push mc v);
+    exec mc cy m bp sb (pc + 1)
+  | OIntCmpJmp (c, l) ->
+    let b = pop mc m sb in
+    let a = pop mc m sb in
+    let taken =
+      match (a, b) with
+      | VInt x, VInt y -> int_cond c x y
+      | _ -> compare_values Ast.TInt c a b
+    in
+    exec mc cy m bp sb (if taken then l else pc + 1)
+  | OCmpJmp (ty, c, l) ->
+    let b = pop mc m sb in
+    let a = pop mc m sb in
+    exec mc cy m bp sb (if compare_values ty c a b then l else pc + 1)
+  | OIfFalse l ->
+    exec mc cy m bp sb (if as_bool (pop mc m sb) then pc + 1 else l)
+  | OGoto l -> exec mc cy m bp sb l
+  | ORet ->
+    let v = pop mc m sb in
+    mc.sp <- sb;
+    v
+  | ORetVoid ->
+    mc.sp <- sb;
+    VUnit
+  | ODup ->
+    let v = pop mc m sb in
+    push mc v;
+    push mc v;
+    exec mc cy m bp sb (pc + 1)
+  | OPop ->
+    ignore (pop mc m sb);
+    exec mc cy m bp sb (pc + 1)
+
+(* Run [m] on the [n] arguments at the top of the stack, which it pops. *)
+and call mc cy m n =
+  if n <> m.d_argc then err "%s: arity mismatch" m.d_name;
+  let sb = mc.sp - n and bp = mc.lp in
+  let top = bp + m.d_slots in
+  if top > Array.length mc.locals then mc.locals <- grow mc.locals top;
+  for i = 0 to m.d_slots - 1 do
+    mc.locals.(bp + i) <- (if i < n then mc.stack.(sb + i) else VUnit)
+  done;
+  mc.sp <- sb;
+  mc.lp <- top;
+  let v = exec mc cy m bp sb 0 in
+  mc.lp <- bp;
+  v
+
+let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
+    args =
+  let methods = decode cost inst in
+  let m =
+    match Array.find_opt (fun m -> String.equal m.d_name name) methods with
+    | Some m -> m
+    | None -> err "no method %s" name
+  in
+  let stack = Array.of_list args in
+  let n = Array.length stack in
+  let mc =
+    { methods; stack = grow stack 64; sp = n; locals = Array.make 64 VUnit;
+      lp = 0; fuel }
+  in
+  let cy = { cycles = 0.0 } in
+  let rvalue = call mc cy m n in
+  { rvalue; rcycles = cy.cycles; rinsns = fuel - mc.fuel }

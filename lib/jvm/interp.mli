@@ -75,4 +75,13 @@ val run_method :
   ?cost:cost_model -> ?fuel:int -> instance -> string -> value list -> result
 (** [run_method inst name args] executes method [name]. [fuel] bounds the
     number of executed instructions (default 200 million); exhausting it
-    raises {!Runtime_error}. *)
+    raises [Runtime_error "fuel exhausted (infinite loop?)"], so a run
+    needs exactly [rinsns + 1] fuel.
+
+    Each call first decodes the class once against [inst] and [cost]:
+    callees become method indices, field reads their values, constants
+    pre-built values, and every instruction's cost a precomputed float.
+    The run then uses one operand stack and one locals array for all of
+    its frames, so calls allocate nothing, and charges each instruction
+    in execution order, so [rcycles] is the same float sum whatever the
+    cost model. *)

@@ -133,10 +133,21 @@ let set_clock m =
 let clock () =
   match !current with None -> 0. | Some p -> Profiler.clock p
 
+(* Set while an [off_clock] thunk runs. *)
+let frozen = ref false
+
 let advance_clock d =
   match !current with
-  | None -> ()
-  | Some p -> Profiler.set_clock p (Profiler.clock p +. d)
+  | Some p when not !frozen -> Profiler.set_clock p (Profiler.clock p +. d)
+  | _ -> ()
+
+let off_clock f =
+  match !current with
+  | None -> f ()
+  | Some _ ->
+    let prev = !frozen in
+    frozen := true;
+    Fun.protect ~finally:(fun () -> frozen := prev) f
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: flat JSON lines through the telemetry codec, so the

@@ -93,7 +93,13 @@ val advance_clock : float -> unit
     charge their modeled time to the currently open span (the DSE
     driver re-anchors the clock absolutely at its own sites, so a charge
     made outside a driver-managed window only drifts the stamps until
-    the next {!set_clock}). No-op when disabled. *)
+    the next {!set_clock}). No-op when disabled or inside {!off_clock}. *)
+
+val off_clock : (unit -> 'a) -> 'a
+(** Run the thunk with {!advance_clock} ignored, so spans inside it keep
+    the caller's virtual time. Serving wraps its per-batch estimates in
+    it: the modeled DSE minutes they would charge are not serving
+    time. *)
 
 (** {1 Serialization} *)
 

@@ -1,11 +1,18 @@
 (* Committed goldens under [golden/].
 
-   The engine-sweep digest golden, [engine_sweep.md5], has one line
-   per case, "<case> <md5 report> <md5 jsonl>". The file was produced by
-   the retired linear-scan event engine, so a match is the old
-   heap-vs-scan differential against a recorded oracle. A test owns the
-   cases under its [prefix]; with S2FA_UPDATE_GOLDEN=1 it rewrites
-   those lines (keeping every other test's) instead of checking them. *)
+   A digest golden has one line per case, "<case> <md5> <md5> ...": the
+   digests of the byte strings the case produced, in a fixed order. A
+   test owns the cases under its [prefix]; with S2FA_UPDATE_GOLDEN=1 it
+   rewrites those lines (keeping every other test's) instead of
+   checking them.
+
+   - [engine_sweep.md5], "<case> <md5 report> <md5 jsonl>", was produced
+     by the retired linear-scan event engine, so a match is the old
+     heap-vs-scan differential against a recorded oracle.
+   - [value_path.md5] was produced by the per-instruction JVM
+     interpreter and the environment-table C interpreter that the
+     decode-once interpreters replaced, so a match is the old-vs-new
+     value-path differential. *)
 
 (* dune runtest runs us in test/; a bare [dune exec] runs from the
    workspace root. Pick by directory, not file, so the update mode can
@@ -19,44 +26,49 @@ let file name =
 
 let update = Sys.getenv_opt "S2FA_UPDATE_GOLDEN" = Some "1"
 
-let sweep_file () = file "engine_sweep.md5"
-
 let md5 s = Digest.to_hex (Digest.string s)
 
-let read () =
-  let path = sweep_file () in
+let read golden =
+  let path = file golden in
   if not (Sys.file_exists path) then []
   else
     In_channel.with_open_bin path In_channel.input_lines
     |> List.filter_map (fun l ->
            match String.split_on_char ' ' l with
-           | [ case; r; j ] -> Some (case, (r, j))
+           | case :: (_ :: _ as digests) -> Some (case, digests)
            | _ -> None)
 
-(* [cases] are [(case, report bytes, jsonl bytes)]; a mismatch names
-   every case that moved and which digest. *)
-let check_sweep ~prefix cases =
+(* [cases] are [(case, [(part, bytes); ...])]; a mismatch names every
+   case that moved and which of its parts. *)
+let check ~golden ~prefix cases =
   let mine (c, _) = String.starts_with ~prefix c in
-  let got = List.map (fun (c, r, j) -> (c, (md5 r, md5 j))) cases in
+  let got =
+    List.map (fun (c, parts) -> (c, List.map (fun (p, s) -> (p, md5 s)) parts))
+      cases
+  in
   if update then
-    let others = List.filter (fun e -> not (mine e)) (read ()) in
-    Out_channel.with_open_bin (sweep_file ()) (fun oc ->
+    let others = List.filter (fun e -> not (mine e)) (read golden) in
+    Out_channel.with_open_bin (file golden) (fun oc ->
         List.iter
-          (fun (c, (r, j)) -> Printf.fprintf oc "%s %s %s\n" c r j)
-          (others @ got))
+          (fun (c, ds) -> Printf.fprintf oc "%s %s\n" c (String.concat " " ds))
+          (others @ List.map (fun (c, ps) -> (c, List.map snd ps)) got))
   else begin
-    let want = List.filter mine (read ()) in
+    let want = List.filter mine (read golden) in
     let moved =
       List.filter_map
-        (fun (c, (r, j)) ->
+        (fun (c, parts) ->
           match List.assoc_opt c want with
           | None -> Some (c ^ ": not in the golden")
-          | Some (r', j') when r <> r' || j <> j' ->
-            Some
-              (Printf.sprintf "%s:%s%s moved" c
-                 (if r <> r' then " report" else "")
-                 (if j <> j' then " jsonl" else ""))
-          | Some _ -> None)
+          | Some ds when List.length ds <> List.length parts ->
+            Some (c ^ ": digest count differs")
+          | Some ds ->
+            let diff =
+              List.filter_map
+                (fun ((p, d), d') -> if d <> d' then Some (" " ^ p) else None)
+                (List.combine parts ds)
+            in
+            if diff = [] then None
+            else Some (Printf.sprintf "%s:%s moved" c (String.concat "" diff)))
         got
       @ List.filter_map
           (fun (c, _) ->
@@ -65,6 +77,10 @@ let check_sweep ~prefix cases =
           want
     in
     if moved <> [] then
-      Alcotest.failf "engine-sweep golden mismatch:\n  %s"
+      Alcotest.failf "%s golden mismatch:\n  %s" golden
         (String.concat "\n  " moved)
   end
+
+let check_sweep ~prefix cases =
+  check ~golden:"engine_sweep.md5" ~prefix
+    (List.map (fun (c, r, j) -> (c, [ ("report", r); ("jsonl", j) ])) cases)

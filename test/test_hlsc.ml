@@ -460,6 +460,41 @@ let prop_interp_arith =
       | Some (Cinterp.VI r) -> r = eval a b
       | _ -> false)
 
+(* ---------- exact fuel boundary on every workload ---------- *)
+
+module W = S2fa_workloads.Workloads
+module S2fa = S2fa_core.S2fa
+module Serde = S2fa_blaze.Serde
+
+(* A batch of two tasks through each workload's flat kernel: the fuel
+   the run needs (statements plus loop iterations, plus one). *)
+let kernel_fuel =
+  [ ("PR", 299); ("KMeans", 864); ("KNN", 6702); ("LR", 790); ("SVM", 659);
+    ("LLS", 790); ("AES", 952); ("S-W", 108548) ]
+
+let test_fuel_boundary () =
+  List.iter
+    (fun (w : W.t) ->
+      let c = W.compile w in
+      let iface = c.S2fa.c_iface in
+      let tasks = w.W.w_gen (S2fa_util.Rng.create 2) 2 in
+      let fields = w.W.w_fields (S2fa_util.Rng.create 1) in
+      let run fuel =
+        let args =
+          (("N", Cinterp.VI 2)
+          :: Serde.serialize_inputs iface c.S2fa.c_input_ty tasks)
+          @ Serde.alloc_outputs iface 2
+          @ Serde.field_buffers iface fields
+        in
+        Cinterp.run_func ~fuel c.S2fa.c_flat iface.S2fa_b2c.Decompile.if_kernel
+          args
+      in
+      let fuel = List.assoc w.W.w_name kernel_fuel in
+      ignore (run fuel);
+      Alcotest.check_raises (w.W.w_name ^ ": one tick short")
+        (Cinterp.C_error "fuel exhausted") (fun () -> ignore (run (fuel - 1))))
+    W.all
+
 let () =
   Alcotest.run "hlsc"
     [ ( "interp",
@@ -468,7 +503,9 @@ let () =
           Alcotest.test_case "conditionals" `Quick test_interp_conditionals;
           Alcotest.test_case "math" `Quick test_interp_math;
           Alcotest.test_case "user calls" `Quick test_interp_user_call;
-          Alcotest.test_case "char cast" `Quick test_interp_char_cast ] );
+          Alcotest.test_case "char cast" `Quick test_interp_char_cast;
+          Alcotest.test_case "fuel boundary on every workload" `Quick
+            test_fuel_boundary ] );
       ( "printer",
         [ Alcotest.test_case "basic" `Quick test_pp_basic;
           Alcotest.test_case "pragmas" `Quick test_pp_pragmas;

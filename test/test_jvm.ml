@@ -294,6 +294,28 @@ class C() {
     (r100.Interp.rcycles > r10.Interp.rcycles *. 5.0);
   Alcotest.(check bool) "insns positive" true (r10.Interp.rinsns > 0)
 
+(* The fuel a run needs is exactly its instruction count plus one: one
+   instruction less raises, on every workload. *)
+let test_fuel_boundary () =
+  List.iter
+    (fun (w : W.t) ->
+      let c = W.compile w in
+      let inst =
+        { Interp.icls = c.S2fa_core.S2fa.c_class;
+          ifields = w.W.w_fields (S2fa_util.Rng.create 1) }
+      in
+      let p = (w.W.w_gen (S2fa_util.Rng.create 2) 1).(0) in
+      let r = Interp.run_method inst "call" [ p ] in
+      let r' = Interp.run_method ~fuel:(r.Interp.rinsns + 1) inst "call" [ p ] in
+      Alcotest.(check bool)
+        (w.W.w_name ^ ": same value at the boundary")
+        true
+        (Interp.equal_value r.Interp.rvalue r'.Interp.rvalue);
+      Alcotest.check_raises (w.W.w_name ^ ": one instruction short")
+        (Interp.Runtime_error "fuel exhausted (infinite loop?)") (fun () ->
+          ignore (Interp.run_method ~fuel:r.Interp.rinsns inst "call" [ p ])))
+    W.all
+
 (* ---------- verifier on all workloads ---------- *)
 
 let test_verify_all_workloads () =
@@ -475,6 +497,8 @@ let () =
           Alcotest.test_case "fields" `Quick test_fields;
           Alcotest.test_case "conversions" `Quick test_conversions;
           Alcotest.test_case "fuel" `Quick test_fuel_exhaustion;
+          Alcotest.test_case "fuel boundary on every workload" `Quick
+            test_fuel_boundary;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
           Alcotest.test_case "bounds" `Quick test_out_of_bounds;
           Alcotest.test_case "cost accounting" `Quick test_cost_accounting;

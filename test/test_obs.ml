@@ -205,6 +205,73 @@ let test_folded_self_time () =
   Alcotest.(check (list (pair string int)))
     "self-time weights" [ ("a", 1_000_000); ("a;b", 2_000_000) ] rows
 
+(* ---------------------------- serving ----------------------------- *)
+
+module Fleet = S2fa_fleet.Fleet
+module Traffic = S2fa_workloads.Traffic
+module Interp = S2fa_jvm.Interp
+
+(* [serve --apps S-W:100 --devices 2] on a 1 s horizon: the arrivals
+   come during the bitstream load, so most overflow to the JVM and the
+   rest run accelerated once the device is up. *)
+let sw_serve =
+  lazy
+    (let tenants = [ Traffic.tenant ~rate:100.0 (Option.get (W.find "S-W")) ] in
+     (Traffic.apps ~seed:1 tenants, Traffic.requests ~seed:1 ~horizon:1.0 tenants))
+
+(* The results (floats by their bits) and the serving JSONL. *)
+let serve_bytes () =
+  let apps, requests = Lazy.force sw_serve in
+  let buf = Buffer.create 4096 in
+  let trace = Telemetry.create ~sinks:[ Telemetry.buffer_sink buf ] () in
+  let opts = { Fleet.default_opts with Fleet.o_devices = 2 } in
+  let oc = Fleet.serve ~opts ~trace apps requests in
+  let results =
+    List.map
+      (fun (r : Fleet.result) ->
+        Format.asprintf "%d %d %a %h %h %b\n" r.Fleet.rs_app r.Fleet.rs_id
+          Interp.pp_value r.Fleet.rs_value r.Fleet.rs_done r.Fleet.rs_latency
+          r.Fleet.rs_accelerated)
+      oc.Fleet.oc_results
+  in
+  (String.concat "" results ^ Fleet.report_to_string oc.Fleet.oc_report,
+   Buffer.contents buf)
+
+let test_serve_zero_observer_effect () =
+  let plain = serve_bytes () in
+  let p = Obs.Profiler.create () in
+  let profiled = Obs.with_profiler p serve_bytes in
+  Alcotest.(check string) "results byte-identical" (fst plain) (fst profiled);
+  Alcotest.(check string) "JSONL byte-identical" (snd plain) (snd profiled)
+
+(* A serve's virtual time is the event loop's: the modeled DSE minutes
+   the per-batch estimate charges must not land in spans under it, and
+   the accelerated path is attributed to its own spans. *)
+let test_serve_attribution () =
+  let p = Obs.Profiler.create () in
+  ignore (Obs.with_profiler p serve_bytes);
+  let totals = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Obs.Profiler.span) ->
+      let path = s.Obs.Profiler.sp_path in
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt totals path) in
+      Hashtbl.replace totals path
+        (prev +. (s.Obs.Profiler.sp_vend -. s.Obs.Profiler.sp_vbegin)))
+    (Obs.Profiler.spans p);
+  let serve = Hashtbl.find totals "fleet.serve" in
+  Hashtbl.iter
+    (fun path total ->
+      if String.starts_with ~prefix:"fleet.serve;" path && total > serve then
+        Alcotest.failf "%s: %.4f vmin under a %.4f vmin serve" path total
+          serve)
+    totals;
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " recorded") true (Hashtbl.mem totals path))
+    [ "fleet.serve;blaze.accelerated";
+      "fleet.serve;blaze.accelerated;blaze.serde";
+      "fleet.serve;blaze.accelerated;hlsc.cinterp" ]
+
 (* ----------------------- perf trajectories ------------------------ *)
 
 let traj results =
@@ -297,7 +364,11 @@ let () =
           Alcotest.test_case "pool-size independent" `Quick
             test_span_log_pool_size_independent;
           Alcotest.test_case "zero observer effect" `Quick
-            test_zero_observer_effect ] );
+            test_zero_observer_effect;
+          Alcotest.test_case "serve: zero observer effect" `Quick
+            test_serve_zero_observer_effect;
+          Alcotest.test_case "serve: no phantom DSE minutes" `Quick
+            test_serve_attribution ] );
       ( "serialization",
         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "load_file rejects garbage" `Quick
