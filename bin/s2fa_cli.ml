@@ -78,17 +78,18 @@ let load_workload name =
     Printf.eprintf "unknown kernel %s; try `s2fa list`\n" name;
     exit 1
 
-let compiled_of ?trace ~workload ~file () =
+let compiled_of ~workload ~file () =
   match (workload, file) with
   | Some name, _ ->
     let w = load_workload name in
-    (Some w, W.compile ?trace w)
-  | None, Some path ->
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    (None, S2fa.compile ?trace src)
+    (Some w, W.compile w)
+  | None, Some path -> (
+    let src = In_channel.with_open_bin path In_channel.input_all in
+    match S2fa.compile src with
+    | c -> (None, c)
+    | exception S2fa.Error m ->
+      Printf.eprintf "compile error: %s\n" m;
+      exit 1)
   | None, None ->
     Printf.eprintf "one of -w or -f is required\n";
     exit 1
@@ -313,7 +314,9 @@ let dse_cmd =
     with_profile profile @@ fun () ->
     let tracer = Option.map make_tracer trace_file in
     let trace = Option.map fst tracer in
-    let _, c = compiled_of ?trace ~workload ~file () in
+    let _, c =
+      Obs.with_tracer trace (fun () -> compiled_of ~workload ~file ())
+    in
     let rng = Rng.create seed in
     let db = if shared_db then Some (Resultdb.create ()) else None in
     let faults = Option.map (make_injector ~seed) fault_spec in
@@ -1040,7 +1043,7 @@ let serve_cmd =
       | None, None -> None
     in
     let faults = Option.map (fun s -> make_injector ~seed s) fault_spec in
-    let apps = Traffic.apps ?trace ~seed tenants in
+    let apps = Obs.with_tracer trace (fun () -> Traffic.apps ~seed tenants) in
     let requests =
       deadline_requests slo_ms (Traffic.requests ~seed ~horizon tenants)
     in
@@ -1279,7 +1282,7 @@ let federate_cmd =
     in
     let tracer = Option.map make_tracer trace_path in
     let trace = Option.map fst tracer in
-    let apps = Traffic.apps ?trace ~seed tenants in
+    let apps = Obs.with_tracer trace (fun () -> Traffic.apps ~seed tenants) in
     let fed_tenants =
       List.mapi
         (fun i tn ->

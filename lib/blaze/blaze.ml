@@ -23,27 +23,22 @@ type accel = {
   acc_compiled : Cinterp.program;
 }
 
-type manager = {
-  mutable accels : (string * accel) list;
-  trace : Telemetry.t option;
-      (* Dispatch accounting only: the manager bumps metrics counters,
-         never emits events, so it works with any tracer (or none). *)
-}
+type manager = { mutable accels : (string * accel) list }
 
-let create_manager ?trace () = { accels = []; trace }
+let create_manager () = { accels = [] }
 
 let register m a =
   m.accels <- (a.acc_id, a) :: List.remove_assoc a.acc_id m.accels
 
 let find m id = List.assoc_opt id m.accels
 
-(* Per-dispatch metrics: a global and a per-accelerator counter, plus a
-   histogram of simulated batch seconds. *)
-let note_dispatch m ~op ~id ~tasks ~seconds =
-  match m.trace with
+(* Per-dispatch metrics in the installed tracer's registry: a global and
+   a per-accelerator counter, plus a histogram of simulated batch
+   seconds. Dispatch accounting only: no events are emitted. *)
+let note_dispatch ~op ~id ~tasks ~seconds =
+  match Obs.metrics () with
   | None -> ()
-  | Some tr ->
-    let ms = Telemetry.metrics tr in
+  | Some ms ->
     Telemetry.Metrics.incr ms "blaze.dispatch";
     Telemetry.Metrics.incr ms (Printf.sprintf "blaze.dispatch.%s.%s" op id);
     Telemetry.Metrics.incr ~by:tasks ms "blaze.tasks";
@@ -73,7 +68,7 @@ let serde_bytes_per_second = 1.0e9
 (* The accelerated path both operators share: serialize [tasks], run
    the kernel with [out_tasks] output slots, read the results back with
    [read], and time the batch. *)
-let accelerated m a ~op ~input_ty ~out_tasks tasks read =
+let accelerated a ~op ~input_ty ~out_tasks tasks read =
   Obs.span "blaze.accelerated" @@ fun () ->
   let n = Array.length tasks in
   let iface = a.acc_iface in
@@ -102,7 +97,7 @@ let accelerated m a ~op ~input_ty ~out_tasks tasks read =
   in
   let serde_s = Serde.bytes_of_iface iface ~tasks:n /. serde_bytes_per_second in
   let fpga_s = report.Estimate.r_seconds in
-  note_dispatch m ~op ~id:a.acc_id ~tasks:n ~seconds:(serde_s +. fpga_s);
+  note_dispatch ~op ~id:a.acc_id ~tasks:n ~seconds:(serde_s +. fpga_s);
   { tr_values = values;
     tr_seconds = serde_s +. fpga_s;
     tr_detail = [ ("serde", serde_s); ("fpga", fpga_s) ] }
@@ -114,7 +109,7 @@ let map_accelerated m ~id tasks =
     let n = Array.length tasks in
     if n = 0 then { tr_values = [||]; tr_seconds = 0.0; tr_detail = [] }
     else
-      accelerated m a ~op:"map" ~input_ty:a.acc_input_ty ~out_tasks:n tasks
+      accelerated a ~op:"map" ~input_ty:a.acc_input_ty ~out_tasks:n tasks
         (fun outputs ->
           Array.init n (fun t ->
               Serde.deserialize_output a.acc_iface a.acc_output_ty outputs t))
@@ -126,7 +121,7 @@ let reduce_accelerated m ~id tasks =
     if not a.acc_iface.Decompile.if_reduce then
       err "accelerator %s implements the map operator, not reduce" id;
     if Array.length tasks = 0 then err "reduce of an empty batch";
-    accelerated m a ~op:"reduce" ~input_ty:a.acc_output_ty ~out_tasks:1 tasks
+    accelerated a ~op:"reduce" ~input_ty:a.acc_output_ty ~out_tasks:1 tasks
       (fun outputs ->
         [| Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 |])
 

@@ -36,9 +36,10 @@ type accel = {
 
 type manager
 
-val create_manager : ?trace:Telemetry.t -> unit -> manager
-(** With [trace], each accelerated dispatch bumps the tracer's metrics
-    registry: [blaze.dispatch] (plus a per-operator/per-accelerator
+val create_manager : unit -> manager
+(** Under an installed tracer ([S2fa_obs.Obs.with_tracer]), each
+    accelerated dispatch bumps the tracer's metrics registry:
+    [blaze.dispatch] (plus a per-operator/per-accelerator
     [blaze.dispatch.<op>.<id>]), [blaze.tasks], and a
     [blaze.batch_seconds] histogram of simulated batch durations. No
     events are emitted; functional results and timings are unchanged. *)

@@ -16,6 +16,7 @@ module Dspace = S2fa_dse.Dspace
 module Driver = S2fa_dse.Driver
 module Rng = S2fa_util.Rng
 module Telemetry = S2fa_telemetry.Telemetry
+module Obs = S2fa_obs.Obs
 
 exception Error of string
 
@@ -33,10 +34,10 @@ type compiled = {
 }
 
 let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
-    ?(field_caps = []) ?trace source =
-  S2fa_obs.Obs.span "core.compile" @@ fun () ->
+    ?(field_caps = []) source =
+  Obs.span "core.compile" @@ fun () ->
   let prog =
-    Telemetry.with_span trace Telemetry.Parse (fun () ->
+    Obs.stage "parse" (fun () ->
         try Parser.parse_program source with
         | Parser.Parse_error (m, p) ->
           fail "parse" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col)
@@ -44,14 +45,14 @@ let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
           fail "lex" (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col))
   in
   let tprog =
-    Telemetry.with_span trace Telemetry.Typecheck (fun () ->
+    Obs.stage "typecheck" (fun () ->
         try Typecheck.check_program prog
         with Typecheck.Type_error (m, p) ->
           fail "typecheck"
             (Printf.sprintf "%s at %d:%d" m p.Ast.line p.Ast.col))
   in
   let classes =
-    Telemetry.with_span trace Telemetry.Bytecode (fun () ->
+    Obs.stage "bytecode" (fun () ->
         try Compile.compile_program tprog
         with Compile.Unsupported m -> fail "bytecode" m)
   in
@@ -76,7 +77,7 @@ let compile ?class_name ?(operator = `Map) ?(in_caps = []) ?(out_caps = [])
   (try Verify.verify_class cls
    with Verify.Verify_error m -> fail "verify" m);
   let pretty, iface, flat =
-    Telemetry.with_span trace Telemetry.Decompile (fun () ->
+    Obs.stage "decompile" (fun () ->
         let pretty, iface =
           try
             Decompile.decompile_class ~operator ~in_caps ~out_caps ~field_caps
@@ -126,17 +127,14 @@ let detail_of_report (r : Estimate.report) =
     d_bram_pct = r.Estimate.r_bram_pct;
     d_dsp_pct = r.Estimate.r_dsp_pct }
 
-let objective ?(tasks = 4096) ?db ?trace c cfg =
+let objective ?(tasks = 4096) ?db c cfg =
   (* The DSE optimizes steady-state kernel throughput: compute cycles at
      the achieved frequency (Fig. 3's "normalized execution cycle"),
      overlapped with off-chip transfer by double buffering — so the
      binding term is whichever is slower. *)
-  let prog =
-    Telemetry.with_span trace Telemetry.Transform (fun () ->
-        apply_design c cfg)
-  in
+  let prog = Obs.stage "transform" (fun () -> apply_design c cfg) in
   let r =
-    Telemetry.with_span trace Telemetry.Estimate (fun () ->
+    Obs.stage "estimate" (fun () ->
         Estimate.estimate prog ~tasks ~buffer_elems:c.c_buffer_elems)
   in
   (* When a result DB is in play, enrich this point's (future) entry with
@@ -154,18 +152,19 @@ let objective ?(tasks = 4096) ?db ?trace c cfg =
     e_minutes = r.Estimate.r_eval_minutes }
 
 let explore ?opts ?tasks ?db ?trace ?faults ?checkpoint c rng =
-  Driver.run_s2fa ?opts ?db ?trace ?faults ?checkpoint c.c_dspace
-    (objective ?tasks ?db ?trace c) rng
+  Obs.with_tracer trace @@ fun () ->
+  Driver.run_s2fa ?opts ?db ?faults ?checkpoint c.c_dspace
+    (objective ?tasks ?db c) rng
 
 let explore_vanilla ?time_limit ?tasks ?db ?trace ?faults ?checkpoint c rng =
-  Driver.run_vanilla ?time_limit ?db ?trace ?faults ?checkpoint c.c_dspace
-    (objective ?tasks ?db ?trace c) rng
+  Obs.with_tracer trace @@ fun () ->
+  Driver.run_vanilla ?time_limit ?db ?faults ?checkpoint c.c_dspace
+    (objective ?tasks ?db c) rng
 
 let resume ?opts ?tasks ?db ?trace ?faults ?checkpoint ~snapshot c rng =
-  Driver.resume_from_checkpoint ?opts ?db ?trace ?faults ?checkpoint ~snapshot
-    c.c_dspace
-    (objective ?tasks ?db ?trace c)
-    rng
+  Obs.with_tracer trace @@ fun () ->
+  Driver.resume_from_checkpoint ?opts ?db ?faults ?checkpoint ~snapshot
+    c.c_dspace (objective ?tasks ?db c) rng
 
 let accel_id (cls : Insn.cls) =
   match List.assoc_opt "id" cls.Insn.jconsts with

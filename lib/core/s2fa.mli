@@ -45,14 +45,15 @@ val compile :
   ?in_caps:int list ->
   ?out_caps:int list ->
   ?field_caps:(string * int) list ->
-  ?trace:Telemetry.t ->
   string ->
   compiled
 (** Parse, type-check, compile to bytecode, verify, decompile to C and
     identify the design space. [class_name] selects a class when the
     source defines several (default: the first [Accelerator] class).
-    With [trace], the parse / typecheck / bytecode / decompile stages
-    are bracketed by [span_begin]/[span_end] events. *)
+    Under an installed tracer ([S2fa_obs.Obs.with_tracer]), the parse /
+    typecheck / bytecode / decompile stages are bracketed by
+    [span_begin]/[span_end] events, closed also when a stage fails.
+    @raise Error naming the failing stage. *)
 
 val apply_design : compiled -> Space.cfg -> Csyntax.cprog
 (** The flat kernel with a design point's Merlin transformations
@@ -64,7 +65,6 @@ val estimate : ?tasks:int -> compiled -> Space.cfg -> Estimate.report
 val objective :
   ?tasks:int ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   compiled ->
   Space.cfg ->
   Tuner.eval_result
@@ -73,8 +73,9 @@ val objective :
     infinite when infeasible, with the simulated evaluation cost. [db]
     does {e not} memoize here (the tuner owns memoization); it only
     enriches the point's database entry with the full estimator tuple
-    (cycles, frequency, resource percentages). With [trace], the Merlin
-    transform and the HLS estimate are bracketed by span events. *)
+    (cycles, frequency, resource percentages). Under an installed
+    tracer, the Merlin transform and the HLS estimate are bracketed by
+    span events. *)
 
 val explore :
   ?opts:Driver.s2fa_opts -> ?tasks:int -> ?db:Resultdb.t ->
@@ -85,10 +86,12 @@ val explore :
     points cost a zero-minute lookup instead of a simulated HLS run, with
     every measured quality unchanged ({!Resultdb}'s clock contract), and
     the run's cache counters are reported in
-    {!Driver.run_result.rr_cache}. With [trace], the run is recorded as
-    a structured event stream (see {!Driver.run_s2fa}) and the metrics
-    snapshot lands in {!Driver.run_result.rr_metrics}; tracing never
-    changes the search trajectory. With [faults], every search-phase
+    {!Driver.run_result.rr_cache}. [trace] is installed as the ambient
+    tracer for the call (none without it, so a nested exploration stays
+    out of its caller's trace): the run is recorded as a structured
+    event stream (see {!Driver.run_s2fa}) and the metrics snapshot lands
+    in {!Driver.run_result.rr_metrics}; tracing never changes the search
+    trajectory. With [faults], every search-phase
     evaluation runs behind the injector's retry/backoff/quarantine
     policy ({!Driver.run_s2fa}); [checkpoint] snapshots the run
     periodically for {!resume}. *)

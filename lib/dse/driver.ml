@@ -66,11 +66,10 @@ let constrs_string = function
 (* Offline rule-fitting probes carry [partition = -1] so replay can tell
    them apart from search evaluations (they consume no DSE wall-clock,
    exactly as the paper's ahead-of-time training data). *)
-let traced_objective trace db objective =
+let traced_objective db objective =
   let wrapped = db_wrap db objective in
-  match trace with
-  | None -> wrapped
-  | Some tr ->
+  if not (Obs.tracing ()) then wrapped
+  else
     fun cfg ->
       (* Whether this eval was a cache hit falls out of the hit-counter
          delta across the memoized call — no second key canonicalization
@@ -86,7 +85,7 @@ let traced_objective trace db objective =
         | Some db -> (Resultdb.snapshot db).Resultdb.sn_hits > hits_before
         | None -> false
       in
-      Telemetry.emit tr
+      Obs.emit
         (Telemetry.Eval_done
            { cfg_key = Space.key cfg;
              quality = r.Tuner.e_perf;
@@ -98,17 +97,15 @@ let traced_objective trace db objective =
              improved = false });
       r
 
-let trace_run_begin trace ~flow ~cores ~time_limit =
-  match trace with
-  | None -> ()
-  | Some tr -> Telemetry.emit tr (Telemetry.Run_begin { flow; cores; time_limit })
+let trace_run_begin ~flow ~cores ~time_limit =
+  if Obs.tracing () then
+    Obs.emit (Telemetry.Run_begin { flow; cores; time_limit })
 
-let trace_eval_done trace ~clock ~partition (o : Tuner.outcome) =
-  match trace with
-  | None -> ()
-  | Some tr ->
-    Telemetry.set_clock tr clock;
-    Telemetry.emit tr
+(* Stamped with the anchor the flow set when it charged the evaluation
+   to its core's clock. *)
+let trace_eval_done ~partition (o : Tuner.outcome) =
+  if Obs.tracing () then
+    Obs.emit
       (Telemetry.Eval_done
          { cfg_key = Space.key o.Tuner.o_cfg;
            quality = o.Tuner.o_perf;
@@ -119,21 +116,20 @@ let trace_eval_done trace ~clock ~partition (o : Tuner.outcome) =
            technique = o.Tuner.o_technique;
            improved = o.Tuner.o_improved })
 
-(* Shared epilogue: [run_end], flush every sink, snapshot the metrics
-   registry into the run result. *)
-let trace_finish trace ~minutes ~evals ~best =
-  match trace with
-  | None -> None
-  | Some tr ->
-    Telemetry.set_partition tr (-1);
-    Telemetry.set_clock tr minutes;
-    Telemetry.emit tr
+(* Shared epilogue: park the clock on the run's final minute, then
+   [run_end], flush every sink, snapshot the metrics registry into the
+   run result. *)
+let trace_finish ~minutes ~evals ~best =
+  Obs.set_clock minutes;
+  Obs.set_partition (-1);
+  if Obs.tracing () then
+    Obs.emit
       (Telemetry.Run_end
          { minutes;
            evals;
            best = (match best with Some (_, b) -> b | None -> infinity) });
-    Telemetry.flush tr;
-    Some (Telemetry.Metrics.snapshot (Telemetry.metrics tr))
+  Obs.flush ();
+  Option.map Telemetry.Metrics.snapshot (Obs.metrics ())
 
 (* ---------- fault-injection plumbing ---------- *)
 
@@ -142,19 +138,18 @@ let trace_finish trace ~minutes ~evals ~best =
    partition context onto the injector's retry-loop events; with no
    injector (or a zero-rate one, which makes no RNG draws) it is the
    raw objective, which is what proves fault-free ≡ no injector. *)
-let fault_objective faults trace objective =
+let fault_objective faults objective =
   match faults with
   | None -> objective
   | Some inj ->
     fun cfg ->
       let on_event =
-        match trace with
-        | None -> fun _ -> ()
-        | Some tr ->
+        if not (Obs.tracing ()) then fun _ -> ()
+        else
           let cfg_key = Space.key cfg in
-          let partition = Telemetry.partition tr in
+          let partition = Obs.partition () in
           fun (e : Fault.event) ->
-            Telemetry.emit tr
+            Obs.emit
               (match e with
               | Fault.Injected i ->
                 Telemetry.Fault_injected
@@ -181,7 +176,7 @@ let fault_objective faults trace objective =
 (* Mark [n] simulated cores dead: the core that ran the faulted
    evaluation first, then (for simultaneous losses) the highest-indexed
    survivors — a deterministic choice. *)
-let kill_cores ?trace ?on_kill alive ~clock ~first ~partition n =
+let kill_cores ?on_kill alive ~first ~partition n =
   let killed = ref 0 in
   let kill c part =
     if c >= 0 && c < Array.length alive && alive.(c) then begin
@@ -190,11 +185,8 @@ let kill_cores ?trace ?on_kill alive ~clock ~first ~partition n =
          to withdraw the dead core's entry at the mutation site. *)
       (match on_kill with Some f -> f c | None -> ());
       incr killed;
-      match trace with
-      | None -> ()
-      | Some tr ->
-        Telemetry.set_clock tr clock;
-        Telemetry.emit tr (Telemetry.Core_lost { core = c; partition = part })
+      if Obs.tracing () then
+        Obs.emit (Telemetry.Core_lost { core = c; partition = part })
     end
   in
   if n > 0 then kill first partition;
@@ -323,7 +315,7 @@ let checkpoint_to ?(meta = []) ~every path =
    The boundary test only looks at the event stream, which prefix-
    deterministic runs share, so a resumed run regenerates every
    snapshot of the original bit for bit. *)
-let ck_machine checkpoint trace ~flow ~core_time ~evals ~global_best ~db
+let ck_machine checkpoint ~flow ~core_time ~evals ~global_best ~db
     ~tuners =
   match checkpoint with
   | None -> fun _now -> ()
@@ -360,11 +352,8 @@ let ck_machine checkpoint trace ~flow ~core_time ~evals ~global_best ~db
         in
         Option.iter (fun p -> write_checkpoint p ck) c.ck_path;
         Option.iter (fun h -> h ck) c.ck_hook;
-        match trace with
-        | None -> ()
-        | Some tr ->
-          Telemetry.set_clock tr now;
-          Telemetry.emit tr
+        if Obs.tracing () then
+          Obs.emit
             (Telemetry.Checkpoint_written
                { path = Option.value ~default:"" c.ck_path;
                  minutes = now;
@@ -451,25 +440,26 @@ let rule_sets dspace =
   in
   [ pipe_params; task_params; inner_params; [] ]
 
-let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
+let run_s2fa ?(opts = default_s2fa_opts) ?db ?faults ?checkpoint dspace
     objective rng =
+  Obs.set_clock 0.0;
   Obs.span "dse.s2fa" @@ fun () ->
   let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"s2fa" ~cores:opts.so_cores
+  trace_run_begin ~flow:"s2fa" ~cores:opts.so_cores
     ~time_limit:opts.so_time_limit;
   (* Offline rule-fitting probes model ahead-of-time training runs, so
      they are exempt from fault injection: only the search-phase
      objective is hardened. *)
-  let search_objective = fault_objective faults trace objective in
+  let search_objective = fault_objective faults objective in
   let samples =
     if opts.so_partition || opts.so_seed_mode = `Both then
       Obs.span "dse.offline" (fun () ->
-          offline_samples dspace (traced_objective trace db objective)
+          offline_samples dspace (traced_objective db objective)
             (Rng.split rng) opts.so_samples)
     else []
   in
-  (* The offline probes charged the ambient profiler clock; the search
-     phase starts at virtual zero. *)
+  (* The offline probes charged the span clock; the search phase starts
+     at virtual zero. *)
   Obs.set_clock 0.0;
   let partitions =
     if opts.so_partition then
@@ -517,7 +507,7 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
       | `Area_only -> [ Partition.project part (Seed.area_seed dspace) ]
       | `None -> []
     in
-    Tuner.create ~seeds ?db ?trace part.Partition.p_space search_objective
+    Tuner.create ~seeds ?db part.Partition.p_space search_objective
       (Rng.split rng)
   in
   let queue = Queue.create () in
@@ -546,7 +536,7 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
   let global_best = ref None in
   let tuner_reg = ref [] in
   let ck =
-    ck_machine checkpoint trace ~flow:"s2fa"
+    ck_machine checkpoint ~flow:"s2fa"
       ~core_time:(fun () -> Array.copy core_time)
       ~evals ~global_best ~db ~tuners:tuner_reg
   in
@@ -567,17 +557,14 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
         tuner_reg := (idx, t) :: !tuner_reg;
         t
     in
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      Telemetry.set_partition tr idx;
-      Telemetry.set_clock tr core_time.(core);
-      Telemetry.emit tr
+    Obs.set_partition idx;
+    if Obs.tracing () then
+      Obs.emit
         (Telemetry.Partition_start
            { partition = idx;
              core;
              constrs = constrs_string part.Partition.p_constrs;
-             points = Space.cardinality part.Partition.p_space }));
+             points = Space.cardinality part.Partition.p_space });
     let stop = ref Telemetry.Stop_time in
     let disposition = ref `Stopped in
     let continue_ = ref true in
@@ -591,9 +578,6 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
         continue_ := false
       end
       else begin
-        (match trace with
-        | None -> ()
-        | Some tr -> Telemetry.set_clock tr core_time.(core));
         Obs.set_clock core_time.(core);
         let o =
           Obs.span "dse.eval" (fun () ->
@@ -610,7 +594,7 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
             ev_partition = idx;
             ev_technique = o.Tuner.o_technique }
           :: !events;
-        trace_eval_done trace ~clock:core_time.(core) ~partition:idx o;
+        trace_eval_done ~partition:idx o;
         note_best o.Tuner.o_cfg o.Tuner.o_perf o.Tuner.o_feasible;
         ck core_time.(core);
         let losses =
@@ -622,8 +606,8 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
           (* The in-flight evaluation was rescued by the retry loop,
              but its core is gone: decommission it and send the
              partition — tuner state intact — back to the FCFS queue. *)
-          kill_cores ?trace ~on_kill:sync_core alive
-            ~clock:core_time.(core) ~first:core ~partition:idx losses;
+          kill_cores ~on_kill:sync_core alive ~first:core ~partition:idx
+            losses;
           disposition := `Core_lost;
           continue_ := false
         end
@@ -640,17 +624,14 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
     match !disposition with
     | `Core_lost -> `Core_lost tuner
     | `Stopped ->
-      (match trace with
-      | None -> ()
-      | Some tr ->
-        Telemetry.set_clock tr core_time.(core);
-        Telemetry.emit tr
+      if Obs.tracing () then
+        Obs.emit
           (Telemetry.Partition_stop
              { partition = idx;
                core;
                reason = !stop;
                evals = Tuner.evaluated tuner });
-        Telemetry.set_partition tr (-1));
+      Obs.set_partition (-1);
       `Done
   in
   (* FCFS: whenever a surviving core frees up, it takes the next
@@ -671,13 +652,11 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
           match resumed with
           | None -> None
           | Some (t, from_core) ->
-            (match trace with
-            | None -> ()
-            | Some tr ->
-              Telemetry.set_clock tr core_time.(core);
-              Telemetry.emit tr
+            Obs.set_clock core_time.(core);
+            if Obs.tracing () then
+              Obs.emit
                 (Telemetry.Failover
-                   { partition = idx; from_core; to_core = core }));
+                   { partition = idx; from_core; to_core = core });
             Some t
         in
         let outcome = run_partition core idx part tuner in
@@ -691,29 +670,29 @@ let run_s2fa ?(opts = default_s2fa_opts) ?db ?trace ?faults ?checkpoint dspace
   done;
   let finish = Array.fold_left Float.max 0.0 core_time in
   let rr_minutes = Float.min finish opts.so_time_limit in
-  Obs.set_clock rr_minutes;
   { rr_events = List.rev !events;
     rr_best = !global_best;
     rr_minutes;
     rr_evals = !evals;
     rr_cache = db_finish db db_before;
     rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
+      trace_finish ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
     rr_fault = Option.map Fault.stats faults }
 
-let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
+let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db
     ?faults ?checkpoint dspace objective rng =
   (* Same partition tree as the static flow, but per DATuner: random
      starting points, an on-line sampling phase per partition, then
      greedy core reallocation toward the best-performing partitions. *)
+  Obs.set_clock 0.0;
   Obs.span "dse.dynamic" @@ fun () ->
   let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"dynamic" ~cores:opts.so_cores
+  trace_run_begin ~flow:"dynamic" ~cores:opts.so_cores
     ~time_limit:opts.so_time_limit;
-  let search_objective = fault_objective faults trace objective in
+  let search_objective = fault_objective faults objective in
   let samples =
     Obs.span "dse.offline" (fun () ->
-        offline_samples dspace (traced_objective trace db objective)
+        offline_samples dspace (traced_objective db objective)
           (Rng.split rng) opts.so_samples)
   in
   Obs.set_clock 0.0;
@@ -726,7 +705,7 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
       (fun part ->
         (* Random seed, not the generated ones. *)
         let seeds = [ Space.random_cfg rng part.Partition.p_space ] in
-        Tuner.create ~seeds ?db ?trace part.Partition.p_space
+        Tuner.create ~seeds ?db part.Partition.p_space
           search_objective (Rng.split rng))
       partitions
     |> Array.of_list
@@ -757,16 +736,12 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
   let part_evals = Array.make n 0 in
   let tuner_reg = ref (List.init n (fun p -> (p, tuners.(p)))) in
   let ck =
-    ck_machine checkpoint trace ~flow:"dynamic"
+    ck_machine checkpoint ~flow:"dynamic"
       ~core_time:(fun () -> Array.copy core_time)
       ~evals ~global_best ~db ~tuners:tuner_reg
   in
   let step_on core p =
-    (match trace with
-    | None -> ()
-    | Some tr ->
-      Telemetry.set_partition tr p;
-      Telemetry.set_clock tr core_time.(core));
+    Obs.set_partition p;
     Obs.set_clock core_time.(core);
     let o =
       Obs.span "dse.eval" (fun () ->
@@ -784,7 +759,7 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
         ev_partition = p;
         ev_technique = o.Tuner.o_technique }
       :: !events;
-    trace_eval_done trace ~clock:core_time.(core) ~partition:p o;
+    trace_eval_done ~partition:p o;
     (if o.Tuner.o_feasible then begin
        if o.Tuner.o_perf < part_best.(p) then part_best.(p) <- o.Tuner.o_perf;
        match !global_best with
@@ -797,8 +772,7 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
     | Some inj ->
       let losses = Fault.take_core_losses inj in
       if losses > 0 then
-        kill_cores ?trace ~on_kill:sync_core alive ~clock:core_time.(core)
-          ~first:core ~partition:p losses);
+        kill_cores ~on_kill:sync_core alive ~first:core ~partition:p losses);
     sync_core core
   in
   let next_free_core () =
@@ -843,28 +817,28 @@ let run_dynamic ?(opts = default_s2fa_opts) ?(setup_evals = 4) ?db ?trace
   let rr_minutes =
     Float.min (Array.fold_left Float.max 0.0 core_time) opts.so_time_limit
   in
-  Obs.set_clock rr_minutes;
   { rr_events = List.rev !events;
     rr_best = !global_best;
     rr_minutes;
     rr_evals = !evals;
     rr_cache = db_finish db db_before;
     rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
+      trace_finish ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
     rr_fault = Option.map Fault.stats faults }
 
-let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
+let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?faults
     ?checkpoint dspace objective rng =
   (* One random starting point, no partitions, no systematic stopping:
      per iteration the 8 cores evaluate the next 8 proposals and the
      clock advances by the slowest of them. *)
+  Obs.set_clock 0.0;
   Obs.span "dse.vanilla" @@ fun () ->
   let db_before = Option.map Resultdb.snapshot db in
-  trace_run_begin trace ~flow:"vanilla" ~cores ~time_limit;
-  let search_objective = fault_objective faults trace objective in
+  trace_run_begin ~flow:"vanilla" ~cores ~time_limit;
+  let search_objective = fault_objective faults objective in
   let seeds = [ Space.random_cfg rng dspace.Dspace.ds_space ] in
   let tuner =
-    Tuner.create ~seeds ?db ?trace dspace.Dspace.ds_space search_objective
+    Tuner.create ~seeds ?db dspace.Dspace.ds_space search_objective
       (Rng.split rng)
   in
   let clock = ref 0.0 in
@@ -877,14 +851,13 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
   let alive_count () = Array.fold_left (fun n a -> if a then n + 1 else n) 0 alive in
   let tuner_reg = ref [ (0, tuner) ] in
   let ck =
-    ck_machine checkpoint trace ~flow:"vanilla"
+    ck_machine checkpoint ~flow:"vanilla"
       ~core_time:(fun () -> [| !clock |])
       ~evals ~global_best ~db ~tuners:tuner_reg
   in
   (* The single whole-space tuner is "partition 0" in the trace. *)
-  (match trace with None -> () | Some tr -> Telemetry.set_partition tr 0);
+  Obs.set_partition 0;
   while !clock < time_limit && not (db_stuck db tuner) && alive_count () > 0 do
-    (match trace with None -> () | Some tr -> Telemetry.set_clock tr !clock);
     Obs.set_clock !clock;
     let batch =
       Obs.span "dse.batch" (fun () ->
@@ -908,7 +881,7 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
             ev_partition = 0;
             ev_technique = o.Tuner.o_technique }
           :: !events;
-        trace_eval_done trace ~clock:!clock ~partition:0 o;
+        trace_eval_done ~partition:0 o;
         if o.Tuner.o_feasible then
           match !global_best with
           | Some (_, b) when b <= o.Tuner.o_perf -> ()
@@ -922,17 +895,16 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
       if losses > 0 then
         (* Without per-core clocks the dying core is anonymous; kill
            the highest-indexed survivors (deterministic). *)
-        kill_cores ?trace alive ~clock:!clock ~first:(-1) ~partition:0 losses
+        kill_cores alive ~first:(-1) ~partition:0 losses
   done;
   let rr_minutes = if !clock < time_limit then !clock else time_limit in
-  Obs.set_clock rr_minutes;
   { rr_events = List.rev !events;
     rr_best = !global_best;
     rr_minutes;
     rr_evals = !evals;
     rr_cache = db_finish db db_before;
     rr_metrics =
-      trace_finish trace ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
+      trace_finish ~minutes:rr_minutes ~evals:!evals ~best:!global_best;
     rr_fault = Option.map Fault.stats faults }
 
 (* ---------- resume ---------- *)
@@ -947,7 +919,7 @@ let run_vanilla ?(cores = 8) ?(time_limit = 240.0) ?db ?trace ?faults
    different seed, option set or fault spec than the original run. By
    the same determinism, the resumed run's final best is bit-identical
    to an uninterrupted run's. *)
-let resume_from_checkpoint ?opts ?setup_evals ?db ?trace ?faults ?checkpoint
+let resume_from_checkpoint ?opts ?setup_evals ?db ?faults ?checkpoint
     ~snapshot dspace objective rng =
   let expected = ck_lines snapshot in
   let state = ref `Pending in
@@ -978,16 +950,16 @@ let resume_from_checkpoint ?opts ?setup_evals ?db ?trace ?faults ?checkpoint
     match snapshot.ck_flow with
     | "s2fa" ->
       Ok
-        (run_s2fa ?opts ?db ?trace ?faults ~checkpoint:ck_opts dspace
+        (run_s2fa ?opts ?db ?faults ~checkpoint:ck_opts dspace
            objective rng)
     | "dynamic" ->
       Ok
-        (run_dynamic ?opts ?setup_evals ?db ?trace ?faults ~checkpoint:ck_opts
+        (run_dynamic ?opts ?setup_evals ?db ?faults ~checkpoint:ck_opts
            dspace objective rng)
     | "vanilla" ->
       let o = Option.value ~default:default_s2fa_opts opts in
       Ok
-        (run_vanilla ~cores:o.so_cores ~time_limit:o.so_time_limit ?db ?trace
+        (run_vanilla ~cores:o.so_cores ~time_limit:o.so_time_limit ?db
            ?faults ~checkpoint:ck_opts dspace objective rng)
     | f -> Error (Printf.sprintf "unknown flow %S in checkpoint" f)
   in

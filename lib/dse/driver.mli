@@ -143,7 +143,6 @@ val checkpoint_to : ?meta:(string * string) list -> every:float -> string
 val run_s2fa :
   ?opts:s2fa_opts ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   ?faults:Fault.t ->
   ?checkpoint:ck_opts ->
   Dspace.t ->
@@ -154,9 +153,12 @@ val run_s2fa :
     partitioning, per-partition seeded tuners with entropy stopping,
     FCFS scheduling onto the virtual cores.
 
-    [trace] records the run: [run_begin]/[run_end] bracket the flow,
-    every evaluation emits [eval_start]/[eval_done] stamped with the
-    executing core's virtual clock (offline rule-fitting probes carry
+    The run drives the ambient virtual clock ([S2fa_obs.Obs]) from 0
+    to its final minute. Under an installed tracer
+    ([S2fa_obs.Obs.with_tracer]) the run is recorded: [run_begin] /
+    [run_end] bracket the flow, every evaluation emits
+    [eval_start]/[eval_done] stamped with the executing core's virtual
+    clock (offline rule-fitting probes carry
     [partition = -1]), partitions emit [partition_start]/[partition_stop]
     with their stop reason, and the tuners contribute [bandit_select],
     [seed_injected] and [entropy_sample]. Tracing never draws from the
@@ -177,7 +179,6 @@ val run_dynamic :
   ?opts:s2fa_opts ->
   ?setup_evals:int ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   ?faults:Fault.t ->
   ?checkpoint:ck_opts ->
   Dspace.t ->
@@ -195,7 +196,6 @@ val run_vanilla :
   ?cores:int ->
   ?time_limit:float ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   ?faults:Fault.t ->
   ?checkpoint:ck_opts ->
   Dspace.t ->
@@ -211,7 +211,6 @@ val resume_from_checkpoint :
   ?opts:s2fa_opts ->
   ?setup_evals:int ->
   ?db:Resultdb.t ->
-  ?trace:Telemetry.t ->
   ?faults:Fault.t ->
   ?checkpoint:ck_opts ->
   snapshot:ck ->

@@ -231,6 +231,8 @@ let retune_rng seed ti epoch =
     lxor ((epoch + 1) * 0x2545_f491_4f6c_dd1d))
 
 let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
+  Obs.with_tracer trace @@ fun () ->
+  Obs.set_clock 0.0;
   Obs.span "federation.serve" @@ fun () ->
   check_clusters clusters;
   check_autoscale clusters opts.fd_autoscale;
@@ -252,11 +254,7 @@ let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
          clusters
   in
   let emit t kind =
-    match trace with
-    | Some tr when fed_active ->
-        Telemetry.set_clock tr (t /. 60.0);
-        Telemetry.emit tr kind
-    | _ -> ()
+    if fed_active && Obs.tracing () then Obs.emit_at (t /. 60.0) kind
   in
   (* Member pools: one sim per cluster, all sharing the tracer. Under
      autoscaling a pool is created at its ceiling and immediately —
@@ -462,9 +460,13 @@ let serve ?(opts = default_opts) ?trace ~clusters tenants requests =
                the new design, not the breach that triggered it. *)
             windows.(ti) <- [];
             let rng = retune_rng opts.fd_seed ti !epoch in
+            (* The re-tune is billed to the offline clock
+               ([tune_minutes]), not to serving time: its spans keep
+               the epoch's minute. *)
             let rr =
-              S2fa.explore ~opts:r.rt_opts ?tasks:r.rt_tasks ~db:dbs.(ti) c
-                rng
+              Obs.off_clock (fun () ->
+                  S2fa.explore ~opts:r.rt_opts ?tasks:r.rt_tasks
+                    ~db:dbs.(ti) c rng)
             in
             tune_minutes := !tune_minutes +. rr.Driver.rr_minutes;
             emit !t_epoch

@@ -206,12 +206,15 @@ val serve :
   outcome
 (** Serve a time-ordered stream of [(origin region, request)] pairs
     (e.g. {!S2fa_workloads.Traffic.regional_requests}) across the
-    member pools until every request completes. With [?trace], member
-    pools emit their usual serving events and the federation adds
+    member pools until every request completes, on one virtual clock
+    that starts at 0. [?trace] is installed as the ambient tracer for
+    the call; with it, member pools emit their usual serving events and the federation adds
     [fed_route] / [fed_autoscale] / [fed_retune] / [fed_promote] — but
     a {e trivial} federation (one cluster, zero RTT, both control loops
     off) emits no federation events at all, keeping its trace
-    byte-identical to plain [Fleet.serve]. Raises {!Federation_error}
+    byte-identical to plain [Fleet.serve]. A re-tuning DSE runs
+    untraced and under [S2fa_obs.Obs.off_clock]: its virtual minutes are
+    billed to [fr_tune_minutes], never to the serving clock. Raises {!Federation_error}
     on an invalid configuration (no clusters, no tenants, bad weights
     or RTTs, inverted hysteresis, a ceiling below a floor, a request
     with a negative region or unknown tenant). *)

@@ -414,7 +414,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   (* Accelerator ids may collide across tenants serving the same kernel;
      registration is keyed by tenant index instead. *)
   let uid i = Printf.sprintf "%d:%s" i apps.(i).ap_name in
-  let mgr = Blaze.create_manager ?trace () in
+  let mgr = Blaze.create_manager () in
   Array.iteri
     (fun i a -> Blaze.register mgr { a.ap_accel with Blaze.acc_id = uid i })
     apps;
@@ -532,11 +532,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   in
   let now = ref 0.0 in
   let clocked emit_kind =
-    match trace with
-    | None -> ()
-    | Some tr ->
-      Telemetry.set_clock tr (!now /. 60.0);
-      Telemetry.emit tr emit_kind
+    if Obs.tracing () then Obs.emit_at (!now /. 60.0) emit_kind
   in
   let results = ref [] in
   let res_count = ref 0 in
@@ -1456,7 +1452,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
   in
   { oc_report = report; oc_results = results }
   in
-  { s_step = step;
+  { s_step = (fun () -> Obs.with_tracer trace step);
     s_next = next_pending;
     s_now = (fun () -> !now);
     s_inject = inject;
@@ -1471,9 +1467,11 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     s_drain = drain;
     s_deadline_hits = (fun () -> !dl_hits);
     s_deadline_misses = (fun () -> !dl_misses);
-    s_finish = finish }
+    s_finish = (fun () -> Obs.with_tracer trace finish) }
 
 let serve_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests =
+  Obs.with_tracer trace @@ fun () ->
+  Obs.set_clock 0.0;
   Obs.span "fleet.serve" @@ fun () ->
   let sim =
     make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate apps requests

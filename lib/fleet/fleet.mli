@@ -271,8 +271,9 @@ val serve :
   request list ->
   outcome
 (** Run the pool over the request stream until every request completes
-    (the run is open-loop: arrivals are fixed up front). With [?trace]
-    the serving events ([serve_enq] / [serve_batch] / [serve_reconfig] /
+    (the run is open-loop: arrivals are fixed up front), starting the
+    ambient virtual clock at 0. [?trace] is installed as the ambient
+    tracer for the call; with it the serving events ([serve_enq] / [serve_batch] / [serve_reconfig] /
     [serve_fallback] / [serve_done], plus [core_lost] on device death
     and the SLO kinds [serve_shed] / [serve_timeout] / [serve_hedge] /
     [serve_breaker] / [serve_deadline] when the control plane acts) are
@@ -372,8 +373,10 @@ val make_sim :
   sim
 (** Create a sim over an initial (possibly empty) request list. Same
     validation and defaults as {!serve}; checkpointing is not available
-    through the stepping interface. The app array is copied — a later
-    [s_update_app] never mutates the caller's array. *)
+    through the stepping interface. [?trace] is installed as the
+    ambient tracer around each [s_step] and [s_finish] call. The app
+    array is copied — a later [s_update_app] never mutates the caller's
+    array. *)
 
 (** {1 Internals exposed for testing} *)
 

@@ -1,9 +1,45 @@
-(* Hierarchical span profiler over both clocks (virtual minutes + host
-   wall/Gc). See obs.mli for the determinism and observer-effect
+(* The ambient observability context: the one virtual clock, the
+   installed tracer and the hierarchical span profiler (virtual minutes
+   + host wall/Gc). See obs.mli for the determinism and observer-effect
    contracts. *)
 
 module Telemetry = S2fa_telemetry.Telemetry
 module Json = Telemetry.Json
+
+(* The one virtual clock. [anchor] is the minute the last [set_clock]
+   named; events are stamped with it. [now] is the anchor plus every
+   [advance_clock] charge since, added one at a time; spans are stamped
+   with it. An all-float record is stored flat, so updating it
+   allocates nothing. *)
+type clock = { mutable anchor : float; mutable now : float }
+
+let clk = { anchor = 0.0; now = 0.0 }
+
+(* Set while an [off_clock] thunk runs. *)
+let frozen = ref false
+
+let set_clock m =
+  if not !frozen then begin
+    clk.anchor <- m;
+    clk.now <- m
+  end
+
+let clock () = clk.now
+
+let advance_clock d = if not !frozen then clk.now <- clk.now +. d
+
+(* Runs per served batch: restore by hand rather than allocate a
+   [Fun.protect] closure. *)
+let off_clock f =
+  let prev = !frozen in
+  frozen := true;
+  match f () with
+  | r ->
+    frozen := prev;
+    r
+  | exception e ->
+    frozen := prev;
+    raise e
 
 module Profiler = struct
   type span = {
@@ -34,17 +70,14 @@ module Profiler = struct
 
   type t = {
     size : int;
-    mutable clock : float;
     mutable next_id : int;
     mutable stack : frame list;
     mutable done_rev : span list;  (* completion order, reversed *)
   }
 
   let create ?(size = 16) () =
-    { size = max 1 size; clock = 0.0; next_id = 0; stack = []; done_rev = [] }
+    { size = max 1 size; next_id = 0; stack = []; done_rev = [] }
 
-  let set_clock t m = t.clock <- m
-  let clock t = t.clock
   let spans t = List.rev t.done_rev
   let depth t = List.length t.stack
 
@@ -66,7 +99,7 @@ module Profiler = struct
         f_parent = parent;
         f_name = name;
         f_path = path;
-        f_vbegin = t.clock;
+        f_vbegin = clk.now;
         f_wall0 = Unix.gettimeofday ();
         f_alloc0 = Gc.allocated_bytes ();
         f_counters = Hashtbl.create t.size }
@@ -89,7 +122,7 @@ module Profiler = struct
           sp_name = f.f_name;
           sp_path = f.f_path;
           sp_vbegin = f.f_vbegin;
-          sp_vend = t.clock;
+          sp_vend = clk.now;
           sp_wall_ns = (Unix.gettimeofday () -. f.f_wall0) *. 1e9;
           sp_alloc_bytes = Gc.allocated_bytes () -. f.f_alloc0;
           sp_counters = counters }
@@ -108,7 +141,6 @@ end
    disabled (the Transform.set_self_check precedent). *)
 
 let current : Profiler.t option ref = ref None
-let set_profiler p = current := p
 let profiler () = !current
 let enabled () = !current <> None
 
@@ -127,27 +159,48 @@ let span name f =
 let count ?(by = 1) name =
   match !current with None -> () | Some p -> Profiler.bump p name by
 
-let set_clock m =
-  match !current with None -> () | Some p -> Profiler.set_clock p m
+(* ------------------------------------------------------------------ *)
+(* Ambient tracer *)
 
-let clock () =
-  match !current with None -> 0. | Some p -> Profiler.clock p
+let tracer : Telemetry.t option ref = ref None
 
-(* Set while an [off_clock] thunk runs. *)
-let frozen = ref false
+let with_tracer tr f =
+  match (tr, !tracer) with
+  | None, None -> f ()
+  | Some a, Some b when a == b -> f ()
+  | _ ->
+    let prev = !tracer in
+    tracer := tr;
+    Fun.protect ~finally:(fun () -> tracer := prev) f
 
-let advance_clock d =
-  match !current with
-  | Some p when not !frozen -> Profiler.set_clock p (Profiler.clock p +. d)
-  | _ -> ()
+let tracing () = !tracer <> None
 
-let off_clock f =
-  match !current with
+let emit_at minutes kind =
+  match !tracer with
+  | None -> ()
+  | Some tr -> Telemetry.emit tr ~minutes kind
+
+let emit kind = emit_at clk.anchor kind
+
+let stage name f =
+  match !tracer with
   | None -> f ()
-  | Some _ ->
-    let prev = !frozen in
-    frozen := true;
-    Fun.protect ~finally:(fun () -> frozen := prev) f
+  | Some tr ->
+    Telemetry.emit tr ~minutes:clk.anchor (Telemetry.Span_begin name);
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.emit tr ~minutes:clk.anchor (Telemetry.Span_end name))
+      f
+
+let set_partition p =
+  match !tracer with None -> () | Some tr -> Telemetry.set_partition tr p
+
+let partition () =
+  match !tracer with None -> -1 | Some tr -> Telemetry.partition tr
+
+let metrics () = Option.map Telemetry.metrics !tracer
+
+let flush () = Option.iter Telemetry.flush !tracer
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: flat JSON lines through the telemetry codec, so the

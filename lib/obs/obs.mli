@@ -1,22 +1,24 @@
-(** Pipeline-wide hierarchical span profiler.
+(** The ambient observability context: one virtual clock, the installed
+    tracer and the pipeline-wide hierarchical span profiler.
 
-    Layered on [lib/telemetry]'s determinism contract: every span carries
-    the {e virtual} clock (simulated minutes, the same clock Fig. 3
-    plots) on which its begin/end stamps are byte-reproducible under a
-    fixed RNG seed, {e and} the host clock (wall nanoseconds plus
-    [Gc.allocated_bytes] delta) for real hotspot hunting. Serialization
-    emits only the deterministic fields unless host mode is requested
-    explicitly (the [S2FA_PROFILE_HOST] environment variable, or
-    [~host:true]), so a span log taken twice under the same seed is
-    bit-identical.
+    Layered on [lib/telemetry]'s determinism contract: events and spans
+    carry the {e virtual} clock (simulated minutes, the same clock Fig.
+    3 plots), so their stamps are byte-reproducible under a fixed RNG
+    seed. Spans also carry the host clock (wall nanoseconds plus
+    [Gc.allocated_bytes] delta) for real hotspot hunting; it is
+    serialized only on request (the [S2FA_PROFILE_HOST] environment
+    variable, or [~host:true]).
 
-    Instrumented code does not thread a profiler through its signatures
-    (that would touch every API in the tree); instead a single ambient
-    profiler is installed per process, mirroring the
-    [Transform.set_self_check] backstop. When no profiler is installed,
-    {!span} / {!count} / {!set_clock} cost one [ref] read and perform no
-    allocation — the zero-observer-effect differential tests in
-    [test/test_obs.ml] hold the instrumented pipeline to that. *)
+    Instrumented code threads neither a tracer nor a profiler through
+    its signatures: both are installed per call ({!with_tracer},
+    {!with_profiler}), mirroring the [Transform.set_self_check]
+    backstop. The run entry points ([S2fa.explore], [Fleet.serve],
+    [Federation.serve], ...) keep a [?trace] argument that installs
+    exactly that tracer, or none, for the run. With nothing installed,
+    every instrumentation point costs a [ref] read or a float store and
+    allocates nothing; [test/test_obs.ml] holds the pipeline to zero
+    observer effect, and each instrument to leaving the other's bytes
+    alone. *)
 
 module Telemetry = S2fa_telemetry.Telemetry
 
@@ -41,12 +43,7 @@ module Profiler : sig
   val create : ?size:int -> unit -> t
   (** [size] is the initial capacity of the per-span counter tables; it
       must not affect any serialized byte (the pool-size determinism
-      test sweeps it). *)
-
-  val set_clock : t -> float -> unit
-  (** Set the virtual minutes subsequent span stamps use. *)
-
-  val clock : t -> float
+      test sweeps it). Spans are stamped with {!clock}. *)
 
   val spans : t -> span list
   (** Completed spans, in completion order (children before parents). *)
@@ -55,9 +52,65 @@ module Profiler : sig
   (** Open spans on the stack (0 outside any {!val:span}). *)
 end
 
-(** {1 The ambient profiler} *)
+(** {1 The virtual clock}
 
-val set_profiler : Profiler.t option -> unit
+    One clock serves both instruments and runs whether or not either is
+    installed; each run entry point starts it at 0. {!set_clock} sets
+    its anchor, which events are stamped with. Cost models charge
+    modeled time with {!advance_clock}, which moves span stamps only:
+    events emitted inside an evaluation keep the minute the driver
+    anchored. *)
+
+val set_clock : float -> unit
+(** Set the anchor and the span clock. Drivers call this with the
+    active core's clock before handing control to instrumented code. *)
+
+val clock : unit -> float
+(** The span clock: the anchor plus the charges made since, added one
+    at a time. *)
+
+val advance_clock : float -> unit
+
+val off_clock : (unit -> 'a) -> 'a
+(** Run the thunk on its caller's virtual time: {!set_clock} and
+    {!advance_clock} are ignored inside it. Serving wraps its per-batch
+    estimates in it (the modeled DSE minutes they would charge are not
+    serving time), and the federation its nested re-tuning DSE. *)
+
+(** {1 The ambient tracer} *)
+
+val with_tracer : Telemetry.t option -> (unit -> 'a) -> 'a
+(** Install exactly this tracer ([None]: none) for the thunk, then
+    restore the previous one, also on exceptions. Re-installing the
+    installed tracer costs nothing. *)
+
+val tracing : unit -> bool
+
+val emit : Telemetry.kind -> unit
+(** Emit to the installed tracer, stamped with the anchor; a no-op
+    without one. Guard the event's construction with {!tracing} to keep
+    the untraced path allocation-free. *)
+
+val emit_at : float -> Telemetry.kind -> unit
+(** {!emit} stamped with these minutes, leaving the clock alone: for a
+    simulation that keeps its own time, like each of a federation's
+    fleet pools. *)
+
+val stage : string -> (unit -> 'a) -> 'a
+(** Bracket a pipeline stage with [Span_begin name] / [Span_end name],
+    also when the thunk raises. *)
+
+val set_partition : int -> unit
+(** The installed tracer's partition context (see
+    {!Telemetry.set_partition}); [partition ()] is [-1] without one. *)
+
+val partition : unit -> int
+
+val metrics : unit -> Telemetry.Metrics.t option
+
+val flush : unit -> unit
+
+(** {1 The ambient profiler} *)
 
 val profiler : unit -> Profiler.t option
 
@@ -79,27 +132,6 @@ val span : string -> (unit -> 'a) -> 'a
 val count : ?by:int -> string -> unit
 (** Bump a counter on the innermost open span ([by] defaults to 1).
     Ignored without a profiler or outside any span. *)
-
-val set_clock : float -> unit
-(** Update the ambient profiler's virtual clock; no-op when disabled.
-    Drivers call this wherever they advance their telemetry clock. *)
-
-val clock : unit -> float
-(** The ambient profiler's current virtual minutes ([0.] when
-    disabled). *)
-
-val advance_clock : float -> unit
-(** Add virtual minutes to the ambient clock. Cost models call this to
-    charge their modeled time to the currently open span (the DSE
-    driver re-anchors the clock absolutely at its own sites, so a charge
-    made outside a driver-managed window only drifts the stamps until
-    the next {!set_clock}). No-op when disabled or inside {!off_clock}. *)
-
-val off_clock : (unit -> 'a) -> 'a
-(** Run the thunk with {!advance_clock} ignored, so spans inside it keep
-    the caller's virtual time. Serving wraps its per-batch estimates in
-    it: the modeled DSE minutes they would charge are not serving
-    time. *)
 
 (** {1 Serialization} *)
 

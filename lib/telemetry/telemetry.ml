@@ -2,25 +2,6 @@
    monotonic sequence number, never the wall clock, so traces under a
    fixed RNG seed are byte-reproducible. *)
 
-type stage = Parse | Typecheck | Bytecode | Decompile | Transform | Estimate
-
-let stage_name = function
-  | Parse -> "parse"
-  | Typecheck -> "typecheck"
-  | Bytecode -> "bytecode"
-  | Decompile -> "decompile"
-  | Transform -> "transform"
-  | Estimate -> "estimate"
-
-let stage_of_name = function
-  | "parse" -> Some Parse
-  | "typecheck" -> Some Typecheck
-  | "bytecode" -> Some Bytecode
-  | "decompile" -> Some Decompile
-  | "transform" -> Some Transform
-  | "estimate" -> Some Estimate
-  | _ -> None
-
 type stop_reason = Stop_time | Stop_exhausted | Stop_entropy | Stop_trivial
 
 let stop_reason_name = function
@@ -39,8 +20,8 @@ let stop_reason_of_name = function
 type kind =
   | Run_begin of { flow : string; cores : int; time_limit : float }
   | Run_end of { minutes : float; evals : int; best : float }
-  | Span_begin of stage
-  | Span_end of stage
+  | Span_begin of string
+  | Span_end of string
   | Eval_start of { cfg_key : string; partition : int; technique : string }
   | Eval_done of {
       cfg_key : string;
@@ -339,7 +320,7 @@ let fold_into_metrics m ev =
   | Fed_retune _ -> Metrics.incr m "fed.retunes"
   | Fed_promote _ -> Metrics.incr m "fed.promotions"
   | Span_begin _ -> ()
-  | Span_end st -> Metrics.incr m ("spans." ^ stage_name st)
+  | Span_end st -> Metrics.incr m ("spans." ^ st)
   | Run_begin _ -> Metrics.incr m "runs"
   | Run_end r -> Metrics.set_gauge m "best_quality" r.best
 
@@ -348,9 +329,8 @@ let fold_into_metrics m ev =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  mutable sinks : sink list;
+  sinks : sink list;
   t_metrics : Metrics.t;
-  mutable t_clock : float;
   mutable t_seq : int;
   mutable t_partition : int;
 }
@@ -358,17 +338,10 @@ type t = {
 let create ?(sinks = []) () =
   { sinks;
     t_metrics = Metrics.create ();
-    t_clock = 0.0;
     t_seq = 0;
     t_partition = -1 }
 
-let add_sink t s = t.sinks <- t.sinks @ [ s ]
-
 let metrics t = t.t_metrics
-
-let set_clock t m = t.t_clock <- m
-
-let clock t = t.t_clock
 
 let set_partition t p = t.t_partition <- p
 
@@ -376,22 +349,13 @@ let partition t = t.t_partition
 
 let emitted t = t.t_seq
 
-let emit t kind =
-  let ev = { e_seq = t.t_seq; e_minutes = t.t_clock; e_kind = kind } in
+let emit t ~minutes kind =
+  let ev = { e_seq = t.t_seq; e_minutes = minutes; e_kind = kind } in
   t.t_seq <- t.t_seq + 1;
   fold_into_metrics t.t_metrics ev;
   List.iter (fun s -> s.on_event ev) t.sinks
 
 let flush t = List.iter (fun s -> s.on_flush ()) t.sinks
-
-let with_span t stage f =
-  match t with
-  | None -> f ()
-  | Some tr ->
-    emit tr (Span_begin stage);
-    let r = f () in
-    emit tr (Span_end stage);
-    r
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: one JSON object per event *)
@@ -452,10 +416,10 @@ let json_of_event e =
     num "best" r.best
   | Span_begin st ->
     str "ev" "span_begin";
-    str "stage" (stage_name st)
+    str "stage" st
   | Span_end st ->
     str "ev" "span_end";
-    str "stage" (stage_name st)
+    str "stage" st
   | Eval_start v ->
     str "ev" "eval_start";
     str "cfg" v.cfg_key;
@@ -752,11 +716,6 @@ let aget fields k =
 let event_of_json line =
   match
     let fields = parse_obj line in
-    let stage_of fields =
-      match stage_of_name (sget fields "stage") with
-      | Some s -> s
-      | None -> raise Bad
-    in
     let kind =
       match sget fields "ev" with
       | "run_begin" ->
@@ -769,8 +728,8 @@ let event_of_json line =
           { minutes = fget fields "minutes";
             evals = iget fields "evals";
             best = fget fields "best" }
-      | "span_begin" -> Span_begin (stage_of fields)
-      | "span_end" -> Span_end (stage_of fields)
+      | "span_begin" -> Span_begin (sget fields "stage")
+      | "span_end" -> Span_end (sget fields "stage")
       | "eval_start" ->
         Eval_start
           { cfg_key = sget fields "cfg";
@@ -948,8 +907,8 @@ let pp_event ppf e =
     p "run_begin flow=%s cores=%d limit=%.0fm" r.flow r.cores r.time_limit
   | Run_end r ->
     p "run_end minutes=%.1f evals=%d best=%g" r.minutes r.evals r.best
-  | Span_begin st -> p "span_begin %s" (stage_name st)
-  | Span_end st -> p "span_end %s" (stage_name st)
+  | Span_begin st -> p "span_begin %s" st
+  | Span_end st -> p "span_end %s" st
   | Eval_start v ->
     p "eval_start part=%d tech=%s cfg=%s" v.partition
       (if v.technique = "" then "-" else v.technique)

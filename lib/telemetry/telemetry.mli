@@ -6,21 +6,18 @@
     trace taken under a fixed RNG seed is bit-reproducible, byte for byte
     of its JSONL encoding.
 
-    The tracer is opt-in everywhere (mirroring the [?db] threading of the
-    shared result database): instrumented code holds a [t option] and
-    emits nothing — not even an allocation — when tracing is off. Sinks
-    fan events out; three are built in: an in-memory ring ({!collector}),
-    a JSONL writer ({!buffer_sink} / {!channel_sink}) and a human-readable
+    A tracer owns no clock: the stamp is an argument of {!emit}.
+    Instrumented code does not hold a tracer either; it emits through
+    the ambient context in [lib/obs] ([S2fa_obs.Obs.emit]), which stamps
+    events with its one virtual clock and does nothing — not even an
+    allocation — when no tracer is installed. The run entry points
+    ([S2fa.explore], [Fleet.serve], [Federation.serve], ...) take
+    [?trace] and install it for the call. Sinks fan events out; three
+    are built in: an in-memory ring ({!collector}), a JSONL writer
+    ({!buffer_sink} / {!channel_sink}) and a human-readable
     {!logs_sink} over the [logs] library. A {!Metrics} registry rides on
     the tracer and folds every event into counters, gauges and
     fixed-bucket histograms as it passes through. *)
-
-(** Pipeline stages bracketed by {!Span_begin}/{!Span_end}. *)
-type stage = Parse | Typecheck | Bytecode | Decompile | Transform | Estimate
-
-val stage_name : stage -> string
-
-val stage_of_name : string -> stage option
 
 (** Why a partition's tuner stopped (the [partition_stop] payload). *)
 type stop_reason =
@@ -41,8 +38,11 @@ type kind =
   | Run_begin of { flow : string; cores : int; time_limit : float }
   | Run_end of { minutes : float; evals : int; best : float }
       (** [best] is [infinity] when nothing feasible was found. *)
-  | Span_begin of stage
-  | Span_end of stage
+  | Span_begin of string
+      (** A pipeline stage began: ["parse"], ["typecheck"],
+          ["bytecode"], ["decompile"], ["transform"] or ["estimate"]. *)
+  | Span_end of string
+      (** The stage ended, normally or by an exception. *)
   | Eval_start of { cfg_key : string; partition : int; technique : string }
   | Eval_done of {
       cfg_key : string;
@@ -252,19 +252,10 @@ end
 type t
 
 val create : ?sinks:sink list -> unit -> t
-(** Sequence starts at 0, clock at 0.0, partition context at -1. *)
-
-val add_sink : t -> sink -> unit
+(** Sequence starts at 0, partition context at -1. *)
 
 val metrics : t -> Metrics.t
 (** The registry this tracer folds its events into. *)
-
-val set_clock : t -> float -> unit
-(** Set the virtual minutes subsequent events are stamped with. Drivers
-    call this with the active core's clock before handing control to
-    instrumented code. *)
-
-val clock : t -> float
 
 val set_partition : t -> int -> unit
 (** Set the partition-id context lower layers (the tuner) stamp into
@@ -275,15 +266,11 @@ val partition : t -> int
 val emitted : t -> int
 (** Events emitted so far (the next sequence number). *)
 
-val emit : t -> kind -> unit
-(** Stamp with the current clock and next sequence number, fold into the
+val emit : t -> minutes:float -> kind -> unit
+(** Stamp with [minutes] and the next sequence number, fold into the
     metrics registry, fan out to every sink. *)
 
 val flush : t -> unit
-
-val with_span : t option -> stage -> (unit -> 'a) -> 'a
-(** Bracket a computation with [Span_begin]/[Span_end]; just runs it
-    when the tracer is [None]. *)
 
 (** {1 Built-in sinks} *)
 

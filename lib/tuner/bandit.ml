@@ -1,5 +1,6 @@
 module Rng = S2fa_util.Rng
 module Telemetry = S2fa_telemetry.Telemetry
+module Obs = S2fa_obs.Obs
 
 type t = {
   window : int;
@@ -7,11 +8,10 @@ type t = {
   history : (int * bool) Queue.t;  (* (arm, improved) *)
   use_counts : int array;
   mutable total : int;
-  trace : Telemetry.t option;
   names : string array;  (* arm labels for trace events *)
 }
 
-let create ?(window = 50) ?(explore = 0.3) ?trace ?names n_arms =
+let create ?(window = 50) ?(explore = 0.3) ?names n_arms =
   let names =
     match names with
     | Some l -> Array.of_list l
@@ -22,7 +22,6 @@ let create ?(window = 50) ?(explore = 0.3) ?trace ?names n_arms =
     history = Queue.create ();
     use_counts = Array.make n_arms 0;
     total = 0;
-    trace;
     names }
 
 let auc_scores t =
@@ -66,11 +65,8 @@ let select t rng =
   in
   t.use_counts.(arm) <- t.use_counts.(arm) + 1;
   t.total <- t.total + 1;
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-    Telemetry.emit tr
-      (Telemetry.Bandit_select { arm; technique = t.names.(arm); scores }));
+  if Obs.tracing () then
+    Obs.emit (Telemetry.Bandit_select { arm; technique = t.names.(arm); scores });
   arm
 
 let reward t arm improved =

@@ -11,15 +11,15 @@ type t
 val create :
   ?window:int ->
   ?explore:float ->
-  ?trace:S2fa_telemetry.Telemetry.t ->
   ?names:string list ->
   int ->
   t
 (** [create n_arms]; [window] is the sliding-history length (default 50),
-    [explore] the exploration coefficient (default 0.3). With [trace],
-    every {!select} emits a [bandit_select] event carrying the chosen
-    arm, its label from [names] (default ["armN"]) and the AUC scores of
-    all arms at selection time; tracing never changes which arm wins. *)
+    [explore] the exploration coefficient (default 0.3). Under an
+    installed tracer ([S2fa_obs.Obs.with_tracer]), every {!select} emits
+    a [bandit_select] event carrying the chosen arm, its label from
+    [names] (default ["armN"]) and the AUC scores of all arms at
+    selection time; tracing never changes which arm wins. *)
 
 val select : t -> Rng.t -> int
 (** Pick an arm (ties broken at random). *)

@@ -49,13 +49,9 @@ type t = {
   mutable entropy_trace : float list;  (* newest first *)
   mutable no_improve_streak : int;
   mutable history : (int * float * float) list;  (* newest first *)
-  trace : Telemetry.t option;
-      (* Telemetry is read-only observation: it never draws from [rng] or
-         touches the objective, so a traced and an untraced tuner under
-         the same seed walk identical trajectories. *)
 }
 
-let create ?(seeds = []) ?techniques ?db ?trace space objective rng =
+let create ?(seeds = []) ?techniques ?db space objective rng =
   let techniques =
     match techniques with
     | Some ts -> Array.of_list ts
@@ -66,7 +62,7 @@ let create ?(seeds = []) ?techniques ?db ?trace space objective rng =
     rng;
     techniques;
     bandit =
-      Bandit.create ?trace
+      Bandit.create
         ~names:
           (Array.to_list (Array.map (fun t -> t.Technique.name) techniques))
         (Array.length techniques);
@@ -79,8 +75,7 @@ let create ?(seeds = []) ?techniques ?db ?trace space objective rng =
     uphill_counts = Hashtbl.create 16;
     entropy_trace = [ 0.0 ];
     no_improve_streak = 0;
-    history = [];
-    trace }
+    history = [] }
 
 let best t = t.best
 
@@ -165,14 +160,12 @@ let record t cfg (r : eval_result) arm cache_hit =
     Array.iter (fun tech -> tech.Technique.feedback cfg r.e_perf) t.techniques);
   let best_so_far = match t.best with Some (_, b) -> b | None -> infinity in
   t.history <- (t.evaluated, r.e_perf, best_so_far) :: t.history;
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-    Telemetry.emit tr
+  if Obs.tracing () then
+    Obs.emit
       (Telemetry.Entropy_sample
-         { partition = Telemetry.partition tr;
+         { partition = Obs.partition ();
            evaluated = t.evaluated;
-           entropy = (match t.entropy_trace with e :: _ -> e | [] -> 0.0) }));
+           entropy = (match t.entropy_trace with e :: _ -> e | [] -> 0.0) });
   { o_cfg = cfg;
     o_perf = r.e_perf;
     o_feasible = r.e_feasible;
@@ -183,16 +176,17 @@ let record t cfg (r : eval_result) arm cache_hit =
     o_cache_hit = cache_hit }
 
 (* Trace a proposal as it enters measurement: seeds announce themselves
-   (they bypass the bandit), then every evaluation gets an [eval_start]. *)
+   (they bypass the bandit), then every evaluation gets an [eval_start].
+   Telemetry is read-only observation: it never draws from [rng] or
+   touches the objective, so a traced and an untraced tuner under the
+   same seed walk identical trajectories. *)
 let trace_proposal t cfg arm =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-    let partition = Telemetry.partition tr in
+  if Obs.tracing () then begin
+    let partition = Obs.partition () in
     let key = Space.key cfg in
     if arm = None then
-      Telemetry.emit tr (Telemetry.Seed_injected { cfg_key = key; partition });
-    Telemetry.emit tr
+      Obs.emit (Telemetry.Seed_injected { cfg_key = key; partition });
+    Obs.emit
       (Telemetry.Eval_start
          { cfg_key = key;
            partition;
@@ -200,6 +194,7 @@ let trace_proposal t cfg arm =
              (match arm with
              | Some a -> t.techniques.(a).Technique.name
              | None -> "") })
+  end
 
 let step_batch t k =
   (* Propose the whole batch first: no proposal sees the results of its

@@ -47,7 +47,6 @@ val create :
   ?seeds:Space.cfg list ->
   ?techniques:Technique.t list ->
   ?db:Resultdb.t ->
-  ?trace:S2fa_telemetry.Telemetry.t ->
   Space.space ->
   objective ->
   Rng.t ->
@@ -63,10 +62,11 @@ val create :
     [db] the tuner evaluates the objective directly (the seed
     behaviour).
 
-    [trace] attaches a telemetry tracer: proposals emit [eval_start]
-    (seeds additionally [seed_injected]), each recorded outcome emits an
-    [entropy_sample], and the bandit emits [bandit_select] per
-    selection. Tracing is read-only observation — it never draws from
+    Under an installed tracer ([S2fa_obs.Obs.with_tracer]) proposals
+    emit [eval_start] (seeds additionally [seed_injected]), each
+    recorded outcome emits an [entropy_sample], and the bandit emits
+    [bandit_select] per selection, all stamped with the tracer's
+    partition context. Tracing is read-only observation — it never draws from
     the RNG nor touches the objective, so traced and untraced tuners
     under the same seed walk identical trajectories. *)
 

@@ -209,6 +209,30 @@ let test_bad_kernel_fails () =
   let code, _ = run "dse -w NoSuchKernel" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
 
+(* A -f source that does not compile is a user error, not a crash: one
+   "compile error:" line, exit 1, and the trace it leaves behind closes
+   every stage bracket it opened. *)
+let test_dse_compile_error () =
+  let src = Filename.temp_file "s2fa_cli" ".scala" in
+  let trace = Filename.temp_file "s2fa_cli" ".jsonl" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc "class C() { def f(x: Int): Int = y }");
+  let code, out =
+    run (Printf.sprintf "dse -f %s --trace %s" (Filename.quote src)
+           (Filename.quote trace))
+  in
+  let lines = In_channel.with_open_bin trace In_channel.input_lines in
+  List.iter Sys.remove [ src; trace ];
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) "names the compile error" true
+    (contains out "compile error: typecheck");
+  let count ev =
+    List.length (List.filter (fun l -> contains l ev) lines)
+  in
+  Alcotest.(check int) "two stages opened" 2 (count "\"span_begin\"");
+  Alcotest.(check int) "every bracket closed" (count "\"span_begin\"")
+    (count "\"span_end\"")
+
 let test_verify_symbolic () =
   let out = check_ok "verify --symbolic" "verify -w KMeans --symbolic" in
   Alcotest.(check bool) "prints proofs" true (contains out "proved");
@@ -449,6 +473,8 @@ let () =
           Alcotest.test_case "cache" `Quick test_cache;
           Alcotest.test_case "report" `Quick test_report;
           Alcotest.test_case "unknown kernel" `Quick test_bad_kernel_fails;
+          Alcotest.test_case "dse -f with a compile error" `Quick
+            test_dse_compile_error;
           Alcotest.test_case "verify --symbolic" `Quick test_verify_symbolic;
           Alcotest.test_case "verify (concrete)" `Quick test_verify_concrete;
           Alcotest.test_case "verify needs -w or --all" `Quick

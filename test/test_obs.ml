@@ -6,7 +6,13 @@
        repeated runs of the same seeded pipeline and across profiler
        pool sizes;
      - profiling has zero observer effect — the instrumented DSE
-       produces bit-identical results with and without a profiler;
+       produces bit-identical results with and without a profiler —
+       and the two instruments ignore each other: trace bytes do not
+       depend on the profiler, profile bytes not on the tracer;
+     - neither a serve's per-batch estimates nor a federation's nested
+       re-tuning DSE put modeled minutes under serving spans;
+     - [golden/observability.md5] pins six CLI runs' traces, replays
+       and profiles;
      - the folded-stack encoding falls back to span counts when the
        whole profile has zero virtual duration;
      - the perf trajectory round-trips through BENCH_<section>.json and
@@ -69,11 +75,19 @@ let test_exception_safety () =
 
 let test_disabled_is_passthrough () =
   Alcotest.(check bool) "disabled" false (Obs.enabled ());
+  Alcotest.(check bool) "no tracer" false (Obs.tracing ());
   let r = Obs.span "nope" (fun () -> 41 + 1) in
   Alcotest.(check int) "value passes through" 42 r;
   Obs.count "nowhere";
+  Obs.emit (Telemetry.Run_begin { flow = "x"; cores = 1; time_limit = 1.0 });
+  Alcotest.(check int) "stage passes through" 7 (Obs.stage "parse" (fun () -> 7));
+  (* The one clock keeps time whether or not an instrument listens. *)
   Obs.set_clock 99.0;
-  Alcotest.(check (float 0.0)) "clock reads 0 when disabled" 0.0 (Obs.clock ())
+  Alcotest.(check (float 0.0)) "clock runs without instruments" 99.0
+    (Obs.clock ());
+  Obs.off_clock (fun () -> Obs.set_clock 5.0; Obs.advance_clock 1.0);
+  Alcotest.(check (float 0.0)) "off_clock freezes it" 99.0 (Obs.clock ());
+  Obs.set_clock 0.0
 
 let test_virtual_clock_attribution () =
   let p = Obs.Profiler.create () in
@@ -244,12 +258,9 @@ let test_serve_zero_observer_effect () =
   Alcotest.(check string) "results byte-identical" (fst plain) (fst profiled);
   Alcotest.(check string) "JSONL byte-identical" (snd plain) (snd profiled)
 
-(* A serve's virtual time is the event loop's: the modeled DSE minutes
-   the per-batch estimate charges must not land in spans under it, and
-   the accelerated path is attributed to its own spans. *)
-let test_serve_attribution () =
-  let p = Obs.Profiler.create () in
-  ignore (Obs.with_profiler p serve_bytes);
+(* Total virtual minutes per span path; fails if any path under [root]
+   outlasts [root] itself. *)
+let path_totals ~root p =
   let totals = Hashtbl.create 16 in
   List.iter
     (fun (s : Obs.Profiler.span) ->
@@ -258,19 +269,214 @@ let test_serve_attribution () =
       Hashtbl.replace totals path
         (prev +. (s.Obs.Profiler.sp_vend -. s.Obs.Profiler.sp_vbegin)))
     (Obs.Profiler.spans p);
-  let serve = Hashtbl.find totals "fleet.serve" in
+  let serve = Hashtbl.find totals root in
   Hashtbl.iter
     (fun path total ->
-      if String.starts_with ~prefix:"fleet.serve;" path && total > serve then
+      if String.starts_with ~prefix:(root ^ ";") path && total > serve then
         Alcotest.failf "%s: %.4f vmin under a %.4f vmin serve" path total
           serve)
     totals;
+  totals
+
+(* A serve's virtual time is the event loop's: the modeled DSE minutes
+   the per-batch estimate charges must not land in spans under it, and
+   the accelerated path is attributed to its own spans. *)
+let test_serve_attribution () =
+  let p = Obs.Profiler.create () in
+  ignore (Obs.with_profiler p serve_bytes);
+  let totals = path_totals ~root:"fleet.serve" p in
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " recorded") true (Hashtbl.mem totals path))
     [ "fleet.serve;blaze.accelerated";
       "fleet.serve;blaze.accelerated;blaze.serde";
       "fleet.serve;blaze.accelerated;hlsc.cinterp" ]
+
+module Fed = S2fa_federation.Federation
+
+(* The README's re-tuning federation: S-W served untransformed across
+   two regions breaches its p99 SLO and the online loop re-tunes it. *)
+let retune_federation () =
+  let w = Option.get (W.find "S-W") in
+  let tenants = [ Traffic.tenant ~rate:50.0 w ] in
+  let apps = Traffic.apps ~seed:23 tenants in
+  let requests =
+    Traffic.regional_requests ~seed:23 ~horizon:8.0
+      [ Traffic.region "east"; Traffic.region "west" ]
+      tenants
+  in
+  let opts =
+    { Fed.default_opts with
+      Fed.fd_seed = 23;
+      fd_retune = Some (Fed.retune ~epoch_s:1.0 2000.0) }
+  in
+  Fed.serve ~opts
+    ~clusters:[ Fed.cluster ~devices:2 "east"; Fed.cluster ~devices:2 "west" ]
+    [ Fed.tenant ~compiled:(W.compile w) apps.(0) ]
+    requests
+
+(* A re-tuning DSE nested in a federation is billed to the offline
+   clock: its spans must not stretch the serving clock, and the
+   promotion after it runs at serving time. *)
+let test_federate_attribution () =
+  let p = Obs.Profiler.create () in
+  let fo = Obs.with_profiler p (fun () -> retune_federation ()) in
+  Alcotest.(check bool) "re-tuned" true (fo.Fed.fo_report.Fed.fr_retunes > 0);
+  let totals = path_totals ~root:"federation.serve" p in
+  Alcotest.(check bool) "re-tune DSE recorded" true
+    (Hashtbl.mem totals "federation.serve;dse.s2fa")
+
+(* ---------------------- instruments in pairs ----------------------- *)
+
+(* Run [scenario] from virtual 0 under a tracer, a profiler or both;
+   return the trace JSONL and the virtual-only span log. The scenario
+   gets the tracer to hand to its run entry point. The serving
+   scenarios compile inside the instruments, so the stage brackets are
+   covered too; the DSE reuses one compile (loop ids are gensym'd per
+   compile and appear in its configuration keys). *)
+let instrumented ~trace ~profile scenario =
+  Obs.set_clock 0.0;
+  let buf = Buffer.create 4096 in
+  let tr =
+    if trace then Some (Telemetry.create ~sinks:[ Telemetry.buffer_sink buf ] ())
+    else None
+  in
+  let p = Obs.Profiler.create () in
+  let run () = Obs.with_tracer tr (fun () -> scenario tr) in
+  if profile then Obs.with_profiler p run else run ();
+  (Buffer.contents buf, serialize (Obs.Profiler.spans p))
+
+let dse_scenario trace =
+  let w, c = Lazy.force kmeans in
+  let opts = { Driver.default_s2fa_opts with Driver.so_time_limit = 30.0 } in
+  let faults =
+    match S2fa_fault.Fault.parse_spec "crash=0.1,core_loss=0.05" with
+    | Ok spec -> S2fa_fault.Fault.create ~seed:3 spec
+    | Error m -> Alcotest.fail m
+  in
+  ignore
+    (S2fa.explore ~opts ~tasks:w.W.w_tasks
+       ~db:(S2fa_tuner.Resultdb.create ()) ?trace ~faults c (Rng.create 3))
+
+let serve_scenario trace =
+  let tenants =
+    [ Traffic.tenant ~rate:400.0 ~weight:1.0 (Option.get (W.find "KMeans"));
+      Traffic.tenant ~rate:300.0 ~weight:2.0 (Option.get (W.find "LR")) ]
+  in
+  let apps = Traffic.apps ~seed:7 tenants in
+  let requests = Traffic.requests ~seed:7 ~horizon:0.5 tenants in
+  let opts = { Fleet.default_opts with Fleet.o_policy = Fleet.Fair } in
+  ignore (Fleet.serve ~opts ?trace apps requests)
+
+let federate_scenario trace =
+  let tenants =
+    [ Traffic.tenant ~rate:300.0 ~weight:1.0 (Option.get (W.find "KMeans"));
+      Traffic.tenant ~rate:200.0 ~weight:3.0 (Option.get (W.find "PR")) ]
+  in
+  let apps = Traffic.apps ~seed:7 tenants in
+  let requests =
+    Traffic.regional_requests ~seed:7 ~horizon:0.5
+      [ Traffic.region "east"; Traffic.region ~scale:2.0 "west" ]
+      tenants
+  in
+  let opts =
+    { Fed.default_opts with
+      Fed.fd_route = Fed.Locality;
+      fd_seed = 7;
+      fd_autoscale =
+        Some { Fed.default_autoscale with Fed.as_max_devices = 3 } }
+  in
+  ignore
+    (Fed.serve ~opts ?trace
+       ~clusters:
+         [ Fed.cluster ~devices:2 ~rtt_s:[| 0.0; 0.002 |] "east";
+           Fed.cluster ~devices:2 ~rtt_s:[| 0.002; 0.0 |] "west" ]
+       (Array.to_list (Array.map Fed.tenant apps))
+       requests)
+
+(* Neither instrument observes the other: the trace bytes are the same
+   with and without a profiler installed, and the profile bytes the same
+   with and without a tracer. *)
+let test_instruments_independent () =
+  List.iter
+    (fun (name, scenario) ->
+      let trace_only, _ = instrumented ~trace:true ~profile:false scenario in
+      let _, profile_only = instrumented ~trace:false ~profile:true scenario in
+      let trace_both, profile_both =
+        instrumented ~trace:true ~profile:true scenario
+      in
+      Alcotest.(check bool) (name ^ ": trace non-empty") true (trace_only <> "");
+      Alcotest.(check bool) (name ^ ": profile non-empty") true
+        (profile_only <> "");
+      Alcotest.(check string) (name ^ ": trace ignores the profiler")
+        trace_only trace_both;
+      Alcotest.(check string) (name ^ ": profile ignores the tracer")
+        profile_only profile_both)
+    [ ("dse", dse_scenario);
+      ("serve", serve_scenario);
+      ("federate", federate_scenario) ]
+
+(* ------------------- trace and profile golden --------------------- *)
+
+(* [test/golden/observability.md5] pins, per CLI run, the bytes of its
+   stdout (minus the lines naming the output files), its JSONL trace,
+   that trace's [s2fa trace] replay and its virtual-only span profile.
+   Each run is a fresh process with both instruments on. *)
+let cli =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/s2fa_cli.exe"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let sh fmt =
+  Printf.ksprintf
+    (fun cmd ->
+      let code = Sys.command cmd in
+      if code <> 0 then Alcotest.failf "exit %d: %s" code cmd)
+    fmt
+
+let traced_run args =
+  let tmp ext = Filename.temp_file "s2fa_obs" ext in
+  let out = tmp ".out" and trace = tmp ".jsonl" and prof = tmp ".prof" in
+  let replay = tmp ".replay" in
+  sh "S2FA_PROFILE_HOST=0 S2FA_LOGS= %s %s --trace %s --profile %s > %s" cli
+    args (Filename.quote trace) (Filename.quote prof) (Filename.quote out);
+  sh "%s trace %s > %s" cli (Filename.quote trace) (Filename.quote replay);
+  let stdout =
+    String.split_on_char '\n' (read_file out)
+    |> List.filter (fun l ->
+           not
+             (String.starts_with ~prefix:"# trace" l
+             || String.starts_with ~prefix:"# profile" l))
+    |> String.concat "\n"
+  in
+  let parts =
+    [ ("stdout", stdout);
+      ("trace", read_file trace);
+      ("replay", read_file replay);
+      ("profile", read_file prof) ]
+  in
+  List.iter Sys.remove [ out; trace; prof; prof ^ ".folded"; replay ];
+  parts
+
+let golden_runs =
+  [ ("obs/dse-kmeans-s2fa", "dse -w KMeans --seed 3 --minutes 60");
+    ("obs/dse-kmeans-vanilla", "dse -w KMeans --mode vanilla --seed 3 --minutes 60");
+    ( "obs/dse-sw-faulted-shared-db",
+      "dse -w S-W --seed 3 --minutes 60 --shared-db \
+       --faults crash=0.1,hang=0.05,core_loss=0.05" );
+    ( "obs/serve-two-app",
+      "serve --apps KMeans:400:1,LR:300:2 --policy fair --horizon 0.5 --seed 7" );
+    ( "obs/federate-two-cluster",
+      "federate --apps KMeans:300:1,PR:200:3 --clusters east:2,west:2:2 \
+       --regions east,west:2 --route locality --rtt-ms 2 --horizon 0.5 \
+       --seed 7 --autoscale --scale-max 3" );
+    ( "obs/federate-retune",
+      "federate --apps S-W:50 --clusters east:2,west:2 --regions east,west \
+       --horizon 8 --seed 23 --retune-slo-ms 2000 --retune-epoch-s 1" ) ]
+
+let test_observability_golden () =
+  Golden.check ~golden:"observability.md5" ~prefix:"obs/"
+    (List.map (fun (case, args) -> (case, traced_run args)) golden_runs)
 
 (* ----------------------- perf trajectories ------------------------ *)
 
@@ -368,7 +574,13 @@ let () =
           Alcotest.test_case "serve: zero observer effect" `Quick
             test_serve_zero_observer_effect;
           Alcotest.test_case "serve: no phantom DSE minutes" `Quick
-            test_serve_attribution ] );
+            test_serve_attribution;
+          Alcotest.test_case "federate: no phantom DSE minutes" `Quick
+            test_federate_attribution;
+          Alcotest.test_case "tracer and profiler independent" `Quick
+            test_instruments_independent;
+          Alcotest.test_case "trace + profile golden" `Quick
+            test_observability_golden ] );
       ( "serialization",
         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "load_file rejects garbage" `Quick

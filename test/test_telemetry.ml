@@ -13,6 +13,7 @@ module S2fa = S2fa_core.S2fa
 module Envelope = S2fa_telemetry.Envelope
 module Fleet = S2fa_fleet.Fleet
 module Traffic = S2fa_workloads.Traffic
+module Obs = S2fa_obs.Obs
 
 let kmeans = lazy (W.compile (Option.get (W.find "KMeans")))
 
@@ -26,8 +27,8 @@ let quick_opts =
 let sample_events =
   (* One of every kind, with awkward floats on purpose. *)
   [ T.Run_begin { flow = "s2fa"; cores = 8; time_limit = 240.0 };
-    T.Span_begin T.Parse;
-    T.Span_end T.Parse;
+    T.Span_begin "parse";
+    T.Span_end "parse";
     T.Eval_start { cfg_key = "a=1;b=\"x\""; partition = 0; technique = "ga" };
     T.Eval_done
       { cfg_key = "a=1";
@@ -91,11 +92,23 @@ let test_json_rejects_malformed () =
     [ ""; "{"; "{}"; "{\"seq\":0}"; "{\"seq\":0,\"min\":1,\"ev\":\"nope\"}" ]
 
 let test_stage_and_reason_names () =
+  (* Stage brackets carry the stage name as a string; the JSON key stays
+     ["stage"]. *)
   List.iter
     (fun s ->
-      Alcotest.(check bool) (T.stage_name s) true
-        (T.stage_of_name (T.stage_name s) = Some s))
-    [ T.Parse; T.Typecheck; T.Bytecode; T.Decompile; T.Transform; T.Estimate ];
+      let ev = { T.e_seq = 0; e_minutes = 0.0; e_kind = T.Span_end s } in
+      let line = T.json_of_event ev in
+      Alcotest.(check bool) (s ^ " keyed as stage") true
+        (let needle = Printf.sprintf "\"stage\":\"%s\"" s in
+         let n = String.length needle in
+         let rec go i =
+           i + n <= String.length line
+           && (String.sub line i n = needle || go (i + 1))
+         in
+         go 0);
+      Alcotest.(check bool) (s ^ " round-trips") true
+        (T.event_of_json line = Some ev))
+    [ "parse"; "typecheck"; "bytecode"; "decompile"; "transform"; "estimate" ];
   List.iter
     (fun r ->
       Alcotest.(check bool) (T.stop_reason_name r) true
@@ -107,9 +120,8 @@ let test_stage_and_reason_names () =
 let test_tracer_sequencing () =
   let sink, got = T.collector () in
   let tr = T.create ~sinks:[ sink ] () in
-  T.set_clock tr 3.5;
-  T.emit tr (T.Span_begin T.Parse);
-  T.emit tr (T.Span_end T.Parse);
+  T.emit tr ~minutes:3.5 (T.Span_begin "parse");
+  T.emit tr ~minutes:3.5 (T.Span_end "parse");
   Alcotest.(check int) "emitted" 2 (T.emitted tr);
   match got () with
   | [ a; b ] ->
@@ -122,7 +134,7 @@ let test_collector_capacity () =
   let sink, got = T.collector ~capacity:3 () in
   let tr = T.create ~sinks:[ sink ] () in
   for _ = 1 to 10 do
-    T.emit tr (T.Span_begin T.Parse)
+    T.emit tr ~minutes:0.0 (T.Span_begin "parse")
   done;
   let evs = got () in
   Alcotest.(check int) "ring keeps 3" 3 (List.length evs);
@@ -157,9 +169,35 @@ let test_logs_sink_silent_by_default () =
      exception, and the events still reach other sinks untouched. *)
   let sink, got = T.collector () in
   let tr = T.create ~sinks:[ T.logs_sink (); sink ] () in
-  T.emit tr (T.Run_begin { flow = "x"; cores = 1; time_limit = 1.0 });
+  T.emit tr ~minutes:0.0
+    (T.Run_begin { flow = "x"; cores = 1; time_limit = 1.0 });
   T.flush tr;
   Alcotest.(check int) "event fanned out" 1 (List.length (got ()))
+
+(* A stage that raises still closes its bracket: compiling a source
+   that parses but does not type-check leaves a balanced trace ending
+   in [span_end typecheck]. *)
+let test_failing_stage_closes () =
+  let sink, got = T.collector () in
+  let tr = T.create ~sinks:[ sink ] () in
+  (match
+     Obs.with_tracer (Some tr) (fun () ->
+         S2fa.compile "class C() { def f(x: Int): Int = y }")
+   with
+  | _ -> Alcotest.fail "an ill-typed source compiled"
+  | exception S2fa.Error _ -> ());
+  let stages =
+    List.filter_map
+      (fun e ->
+        match e.T.e_kind with
+        | T.Span_begin s -> Some ("+" ^ s)
+        | T.Span_end s -> Some ("-" ^ s)
+        | _ -> None)
+      (got ())
+  in
+  Alcotest.(check (list string)) "balanced brackets"
+    [ "+parse"; "-parse"; "+typecheck"; "-typecheck" ] stages;
+  Alcotest.(check bool) "tracer uninstalled" false (Obs.tracing ())
 
 (* ---------- determinism & zero observer effect ---------- *)
 
@@ -443,7 +481,9 @@ let () =
             test_collector_capacity;
           Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
           Alcotest.test_case "logs sink silent" `Quick
-            test_logs_sink_silent_by_default ] );
+            test_logs_sink_silent_by_default;
+          Alcotest.test_case "failing stage closes its bracket" `Quick
+            test_failing_stage_closes ] );
       ( "determinism",
         [ Alcotest.test_case "bit-reproducible JSONL" `Quick
             test_trace_bit_reproducible;
