@@ -224,32 +224,29 @@ type ck = {
 let ck_kind = "header"
 
 let ck_lines ck =
+  let open Json in
   let header =
-    Printf.sprintf "\"flow\":%s,\"every\":%s,\"min\":%s,\"evals\":%d%s,\"cores\":[%s]"
-      (Json.quote ck.ck_flow) (Json.fstr ck.ck_every) (Json.fstr ck.ck_minutes)
-      ck.ck_evals
-      (match ck.ck_best with
-      | None -> ""
-      | Some (k, q) ->
-        Printf.sprintf ",\"best\":%s,\"bestq\":%s" (Json.quote k) (Json.fstr q))
-      (String.concat ","
-         (Array.to_list (Array.map Json.fstr ck.ck_core_time)))
+    [ ("flow", Jstr ck.ck_flow); ("every", Jnum ck.ck_every);
+      ("min", Jnum ck.ck_minutes); ("evals", Jint ck.ck_evals) ]
+    @ (match ck.ck_best with
+      | None -> []
+      | Some (k, q) -> [ ("best", Jstr k); ("bestq", Jnum q) ])
+    @ [ ("cores", Jarr (Array.to_list ck.ck_core_time)) ]
   in
   let dbl =
     List.map
       (fun (key, (r : Resultdb.eval_result)) ->
-        Printf.sprintf "{\"ck\":\"db\",\"cfg\":%s,\"q\":%s,\"feas\":%b,\"emin\":%s}"
-          (Json.quote key) (Json.fstr r.Resultdb.e_perf) r.Resultdb.e_feasible
-          (Json.fstr r.Resultdb.e_minutes))
+        [ ("ck", Jstr "db"); ("cfg", Jstr key); ("q", Jnum r.Resultdb.e_perf);
+          ("feas", Jbool r.Resultdb.e_feasible);
+          ("emin", Jnum r.Resultdb.e_minutes) ])
       ck.ck_db
   in
   let tl =
     List.map
       (fun t ->
-        Printf.sprintf
-          "{\"ck\":\"tuner\",\"part\":%d,\"evals\":%d,\"best\":%s,\"entropy\":%s}"
-          t.ct_partition t.ct_evaluated (Json.fstr t.ct_best)
-          (Json.fstr t.ct_entropy))
+        [ ("ck", Jstr "tuner"); ("part", Jint t.ct_partition);
+          ("evals", Jint t.ct_evaluated); ("best", Jnum t.ct_best);
+          ("entropy", Jnum t.ct_entropy) ])
       ck.ck_tuners
   in
   Envelope.render ~kind:ck_kind ~header ~meta:ck.ck_meta (dbl @ tl)

@@ -109,8 +109,8 @@ type ck = {
 
 val ck_lines : ck -> string list
 (** JSONL encoding in the {!S2fa_telemetry.Envelope}: a [header]-tagged
-    header line, meta lines, then db and tuner records. Floats use
-    {!Telemetry.Json.fstr}, so encoding is bit-exact. *)
+    header line, meta lines, then db and tuner records, each one
+    {!Telemetry.Json.obj}, so encoding is bit-exact. *)
 
 val ck_of_envelope : S2fa_telemetry.Envelope.t -> (ck, string) result
 (** Decode a loaded envelope; rejects any kind but [header] and unknown

@@ -353,7 +353,7 @@ let snapshot_of_envelope (env : Envelope.t) =
           fk_apps = Json.get_int header "apps";
           fk_meta = env.Envelope.meta;
           fk_lines = env.Envelope.lines }
-    with Json.Bad | Failure _ -> Error "malformed fleet checkpoint header"
+    with Json.Bad -> Error "malformed fleet checkpoint header"
 
 let load_checkpoint path =
   Result.bind (Envelope.load path) snapshot_of_envelope
@@ -1097,71 +1097,58 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
            match e with Ev_jvm entry -> entry :: acc | _ -> acc))
   in
   let snapshot_lines ~every ~meta () =
-    let fstr = Json.fstr and quote = Json.quote in
+    let open Json in
+    let ids rs = Jarr (List.map (fun r -> float_of_int r.rq_id) rs) in
     let header =
-      Printf.sprintf
-        "\"v\":1,\"policy\":%s,\"devices\":%d,\"device\":%s,\"apps\":%d,\"events\":%d,\"now\":%s,\"every\":%s"
-        (quote (policy_name opts.o_policy))
-        opts.o_devices
-        (quote opts.o_device.Device.name)
-        n_apps !events (fstr !now) (fstr every)
+      [ ("v", Jint 1); ("policy", Jstr (policy_name opts.o_policy));
+        ("devices", Jint opts.o_devices);
+        ("device", Jstr opts.o_device.Device.name); ("apps", Jint n_apps);
+        ("events", Jint !events); ("now", Jnum !now); ("every", Jnum every) ]
     in
     let queue_lines =
       Array.to_list
         (Array.mapi
            (fun i q ->
-             let ids =
-               List.map
-                 (fun r -> fstr (float_of_int r.rq_id))
-                 (dq_to_list q)
-             in
-             Printf.sprintf
-               "{\"ck\":\"queue\",\"app\":%d,\"served\":%d,\"ids\":[%s]}" i
-               served.(i)
-               (String.concat "," ids))
+             [ ("ck", Jstr "queue"); ("app", Jint i);
+               ("served", Jint served.(i)); ("ids", ids (dq_to_list q)) ])
            queues)
     in
     let dev_lines =
       Array.to_list
         (Array.mapi
            (fun i dv ->
-             let base =
-               Printf.sprintf
-                 "{\"ck\":\"dev\",\"i\":%d,\"alive\":%b,\"loaded\":%d,\"state\":%s,\"reopen\":%s"
-                 i dv.d_alive
-                 (match dv.d_loaded with Some a -> a | None -> -1)
-                 (quote (bstate_detail dv.d_state))
-                 (fstr dv.d_reopen)
-             in
+             [ ("ck", Jstr "dev"); ("i", Jint i); ("alive", Jbool dv.d_alive);
+               ("loaded",
+                Jint (match dv.d_loaded with Some a -> a | None -> -1));
+               ("state", Jstr (bstate_detail dv.d_state));
+               ("reopen", Jnum dv.d_reopen) ]
+             @
              match dv.d_busy with
-             | None -> base ^ "}"
+             | None -> []
              | Some b ->
-               base
-               ^ Printf.sprintf
-                   ",\"app\":%d,\"launched\":%s,\"done\":%s,\"timeout\":%s,\"lost\":%s,\"group\":%d,\"hedged\":%b,\"ids\":[%s]}"
-                   b.b_app (fstr b.b_launched) (fstr b.b_done)
-                   (fstr b.b_timeout)
-                   (match b.b_lost with
-                   | Some l -> fstr l
-                   | None -> fstr infinity)
-                   b.b_group b.b_hedged
-                   (String.concat ","
-                      (List.map
-                         (fun r -> fstr (float_of_int r.rq_id))
-                         b.b_reqs)))
+               [ ("app", Jint b.b_app); ("launched", Jnum b.b_launched);
+                 ("done", Jnum b.b_done); ("timeout", Jnum b.b_timeout);
+                 ("lost", Jnum (Option.value b.b_lost ~default:infinity));
+                 ("group", Jint b.b_group); ("hedged", Jbool b.b_hedged);
+                 ("ids", ids b.b_reqs) ])
            devs)
     in
     let counter_line =
-      Printf.sprintf
-        "{\"ck\":\"counters\",\"batches\":%d,\"reconfigs\":%d,\"fallbacks\":%d,\"requeued\":%d,\"lost\":%d,\"shed\":%d,\"timeouts\":%d,\"hedges\":%d,\"trips\":%d,\"dl_hit\":%d,\"dl_miss\":%d,\"groups\":%d}"
-        !batches !reconfigs !fallbacks !requeued !devices_lost !shed_n
-        !timeouts !hedges !breaker_trips !dl_hits !dl_misses !groups
+      ("ck", Jstr "counters")
+      :: List.map
+           (fun (k, v) -> (k, Jint v))
+           [ ("batches", !batches); ("reconfigs", !reconfigs);
+             ("fallbacks", !fallbacks); ("requeued", !requeued);
+             ("lost", !devices_lost); ("shed", !shed_n);
+             ("timeouts", !timeouts); ("hedges", !hedges);
+             ("trips", !breaker_trips); ("dl_hit", !dl_hits);
+             ("dl_miss", !dl_misses); ("groups", !groups) ]
     in
     let jvm_lines =
       List.map
         (fun (t, r, _) ->
-          Printf.sprintf "{\"ck\":\"jvm\",\"t\":%s,\"app\":%d,\"id\":%d}"
-            (fstr t) r.rq_app r.rq_id)
+          [ ("ck", Jstr "jvm"); ("t", Jnum t); ("app", Jint r.rq_app);
+            ("id", Jint r.rq_id) ])
         (jvm_entries ())
     in
     let result_line =
@@ -1175,12 +1162,11 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
                        (fstr r.rs_done) r.rs_accelerated)
                    !results)))
       in
-      Printf.sprintf "{\"ck\":\"results\",\"count\":%d,\"digest\":%s}"
-        (List.length !results) (quote digest)
+      [ ("ck", Jstr "results"); ("count", Jint (List.length !results));
+        ("digest", Jstr digest) ]
     in
     let arr_line =
-      Printf.sprintf "{\"ck\":\"arrivals\",\"left\":%d}"
-        (List.length !arrivals)
+      [ ("ck", Jstr "arrivals"); ("left", Jint (List.length !arrivals)) ]
     in
     Envelope.render ~kind:checkpoint_kind ~header ~meta
       (queue_lines @ dev_lines @ [ counter_line ] @ jvm_lines

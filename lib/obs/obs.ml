@@ -213,56 +213,45 @@ let host_requested () =
   | Some _ -> true
 
 let span_to_json ?(host = false) (s : Profiler.span) =
-  let b = Buffer.create 160 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"id\":%d,\"parent\":%d,\"name\":%s,\"vb\":%s,\"ve\":%s"
-       s.sp_id s.sp_parent (Json.quote s.sp_name) (Json.fstr s.sp_vbegin)
-       (Json.fstr s.sp_vend));
-  if host then
-    Buffer.add_string b
-      (Printf.sprintf ",\"wall_ns\":%s,\"alloc_bytes\":%s"
-         (Json.fstr s.sp_wall_ns) (Json.fstr s.sp_alloc_bytes));
-  Buffer.add_string b (Printf.sprintf ",\"path\":%s" (Json.quote s.sp_path));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",%s:%d" (Json.quote ("c." ^ k)) v))
-    s.sp_counters;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open Json in
+  obj
+    ([ ("id", Jint s.sp_id); ("parent", Jint s.sp_parent);
+       ("name", Jstr s.sp_name); ("vb", Jnum s.sp_vbegin);
+       ("ve", Jnum s.sp_vend) ]
+    @ (if host then
+         [ ("wall_ns", Jnum s.sp_wall_ns);
+           ("alloc_bytes", Jnum s.sp_alloc_bytes) ]
+       else [])
+    @ (("path", Jstr s.sp_path)
+      :: List.map (fun (k, v) -> ("c." ^ k, Jint v)) s.sp_counters))
 
 let span_of_json line =
-  match Json.parse_obj line with
+  match
+    let fields = Json.parse_obj line in
+    let counters =
+      List.filter_map
+        (fun (k, _) ->
+          if String.starts_with ~prefix:"c." k && String.length k > 2 then
+            Some (String.sub k 2 (String.length k - 2), Json.get_int fields k)
+          else None)
+        fields
+      |> List.sort compare
+    in
+    let opt_float key =
+      if Json.find fields key = None then 0. else Json.get_float fields key
+    in
+    { Profiler.sp_id = Json.get_int fields "id";
+      sp_parent = Json.get_int fields "parent";
+      sp_name = Json.get_str fields "name";
+      sp_path = Json.get_str fields "path";
+      sp_vbegin = Json.get_float fields "vb";
+      sp_vend = Json.get_float fields "ve";
+      sp_wall_ns = opt_float "wall_ns";
+      sp_alloc_bytes = opt_float "alloc_bytes";
+      sp_counters = counters }
+  with
+  | span -> Some span
   | exception Json.Bad -> None
-  | fields -> (
-    try
-      let counters =
-        List.filter_map
-          (fun (k, v) ->
-            if String.length k > 2 && String.sub k 0 2 = "c." then
-              match v with
-              | Json.Jnum n -> Some (String.sub k 2 (String.length k - 2),
-                                     int_of_float n)
-              | _ -> raise Json.Bad
-            else None)
-          fields
-        |> List.sort compare
-      in
-      let opt_float key =
-        match Json.find fields key with
-        | None -> 0.
-        | Some _ -> Json.get_float fields key
-      in
-      Some
-        { Profiler.sp_id = Json.get_int fields "id";
-          sp_parent = Json.get_int fields "parent";
-          sp_name = Json.get_str fields "name";
-          sp_path = Json.get_str fields "path";
-          sp_vbegin = Json.get_float fields "vb";
-          sp_vend = Json.get_float fields "ve";
-          sp_wall_ns = opt_float "wall_ns";
-          sp_alloc_bytes = opt_float "alloc_bytes";
-          sp_counters = counters }
-    with Json.Bad | Not_found | Failure _ -> None)
 
 let write_jsonl ?(host = false) oc spans =
   List.iter

@@ -1,11 +1,11 @@
 (* BENCH_<section>.json trajectories: one shared writer for the bench
    harness and a reader + comparator for the `s2fa perf diff` gate.
 
-   The files are multi-line two-level JSON, which the flat single-line
-   telemetry codec cannot parse, so a dedicated recursive-descent
-   reader lives here. It accepts exactly the shape `save` emits (plus
-   arbitrary whitespace): strings, numbers, and one nested object under
-   any key. *)
+   The files are multi-line two-level JSON; the project's one JSON
+   codec ([Telemetry.Json]) reads them, nested "results" object and
+   newlines included. *)
+
+module Json = S2fa_telemetry.Telemetry.Json
 
 type t = {
   p_bench : string;
@@ -30,117 +30,25 @@ let save path t =
         rows;
       Printf.fprintf oc "  }\n}\n")
 
-(* ---------------------------- parsing ----------------------------- *)
-
-exception Bad of string
-
-type tok = Lbrace | Rbrace | Colon | Comma | Str of string | Num of float
-
-let tokenize src =
-  let n = String.length src in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    (match src.[!i] with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' -> toks := Lbrace :: !toks; incr i
-    | '}' -> toks := Rbrace :: !toks; incr i
-    | ':' -> toks := Colon :: !toks; incr i
-    | ',' -> toks := Comma :: !toks; incr i
-    | '"' ->
-      let b = Buffer.create 16 in
-      incr i;
-      let fin = ref false in
-      while not !fin do
-        if !i >= n then raise (Bad "unterminated string");
-        (match src.[!i] with
-        | '"' -> fin := true
-        | '\\' ->
-          if !i + 1 >= n then raise (Bad "dangling escape");
-          incr i;
-          (match src.[!i] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | c -> raise (Bad (Printf.sprintf "escape \\%c" c)))
-        | c -> Buffer.add_char b c);
-        incr i
-      done;
-      toks := Str (Buffer.contents b) :: !toks
-    | '-' | '+' | '0' .. '9' ->
-      let j = ref !i in
-      while
-        !j < n
-        && (match src.[!j] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      let lit = String.sub src !i (!j - !i) in
-      (match float_of_string_opt lit with
-      | Some v -> toks := Num v :: !toks
-      | None -> raise (Bad ("bad number " ^ lit)));
-      i := !j
-    | c -> raise (Bad (Printf.sprintf "unexpected character %C" c)))
-  done;
-  List.rev !toks
-
-type value = Vstr of string | Vnum of float | Vobj of (string * value) list
-
-let parse_value toks =
-  let rec value = function
-    | Str s :: rest -> (Vstr s, rest)
-    | Num v :: rest -> (Vnum v, rest)
-    | Lbrace :: rest -> obj [] rest
-    | _ -> raise (Bad "expected a value")
-  and obj acc = function
-    | Rbrace :: rest -> (Vobj (List.rev acc), rest)
-    | Str k :: Colon :: rest -> (
-      let v, rest = value rest in
-      match rest with
-      | Comma :: rest -> obj ((k, v) :: acc) rest
-      | Rbrace :: rest -> (Vobj (List.rev ((k, v) :: acc)), rest)
-      | _ -> raise (Bad "expected , or } after a member"))
-    | _ -> raise (Bad "expected a \"key\": member")
-  in
-  match value toks with
-  | v, [] -> v
-  | _, _ -> raise (Bad "trailing tokens")
-
 let load path =
   let src =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    try In_channel.with_open_bin path In_channel.input_all
     with Sys_error m -> failwith m
   in
-  match parse_value (tokenize src) with
-  | exception Bad m -> failwith (Printf.sprintf "%s: %s" path m)
-  | Vobj fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Vstr s) -> s
-      | _ -> failwith (Printf.sprintf "%s: missing string field %S" path k)
-    in
+  match
+    let fields = Json.parse_obj src in
     let results =
-      match List.assoc_opt "results" fields with
-      | Some (Vobj rs) ->
-        List.map
-          (fun (k, v) ->
-            match v with
-            | Vnum n -> (k, n)
-            | _ ->
-              failwith (Printf.sprintf "%s: result %S is not a number" path k))
-          rs
-        |> List.sort compare
-      | _ -> failwith (Printf.sprintf "%s: missing \"results\" object" path)
+      List.map
+        (fun (k, v) ->
+          match v with Json.Jnum n -> (k, n) | _ -> raise Json.Bad)
+        (Json.get_obj fields "results")
     in
-    { p_bench = str "bench"; p_unit = str "unit"; p_results = results }
-  | _ -> failwith (Printf.sprintf "%s: not a JSON object" path)
+    { p_bench = Json.get_str fields "bench";
+      p_unit = Json.get_str fields "unit";
+      p_results = List.sort compare results }
+  with
+  | t -> t
+  | exception Json.Bad -> failwith (path ^ ": malformed BENCH trajectory")
 
 (* ----------------------------- diffing ---------------------------- *)
 

@@ -11,19 +11,16 @@ type t = {
 }
 
 let render ~kind ~header ~meta body =
-  let head =
-    Printf.sprintf "{\"ck\":%s%s}" (Json.quote kind)
-      (if header = "" then "" else "," ^ header)
+  let open Json in
+  let lines =
+    obj (("ck", Jstr kind) :: header)
+    :: List.map
+         (fun (k, v) ->
+           obj [ ("ck", Jstr "meta"); ("k", Jstr k); ("v", Jstr v) ])
+         meta
+    @ List.map obj body
   in
-  let metal =
-    List.map
-      (fun (k, v) ->
-        Printf.sprintf "{\"ck\":\"meta\",\"k\":%s,\"v\":%s}" (Json.quote k)
-          (Json.quote v))
-      meta
-  in
-  let lines = (head :: metal) @ body in
-  lines @ [ Printf.sprintf "{\"ck\":\"end\",\"lines\":%d}" (List.length lines) ]
+  lines @ [ obj [ ("ck", Jstr "end"); ("lines", Jint (List.length lines)) ] ]
 
 let write path lines =
   let tmp = path ^ ".tmp" in
@@ -44,12 +41,12 @@ let of_lines lines =
         (Json.get_str r "ck", r))
       lines
   with
-  | exception (Json.Bad | Failure _) -> Error "malformed checkpoint JSON"
+  | exception Json.Bad -> Error "malformed checkpoint JSON"
   | tagged -> (
     match List.rev tagged with
     | ("end", last) :: rev_rest -> (
       match Json.get_int last "lines" with
-      | exception (Json.Bad | Failure _) -> Error "malformed checkpoint JSON"
+      | exception Json.Bad -> Error "malformed checkpoint JSON"
       | n when n <> List.length rev_rest ->
         Error "checkpoint truncated: line count does not match its end marker"
       | _ -> (

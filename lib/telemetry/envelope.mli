@@ -12,10 +12,10 @@
     where [N] counts every line before the end marker. A truncated
     write loses the marker or breaks the count, and {!of_lines} rejects
     it. {!write} goes through [path ^ ".tmp"] and a rename, so a crash
-    mid-write never leaves a torn file behind. Writers render floats
-    with {!Telemetry.Json.fstr}, so a deterministic re-run regenerates a
-    stored snapshot byte for byte: resume validation compares lines
-    exactly. *)
+    mid-write never leaves a torn file behind. Every line is one
+    {!Telemetry.Json.obj}, whose floats are bit-exact, so a
+    deterministic re-run regenerates a stored snapshot byte for byte:
+    resume validation compares lines exactly. *)
 
 type record = (string * Telemetry.Json.v) list
 (** One parsed line, fields in source order. *)
@@ -34,14 +34,13 @@ type t = {
 
 val render :
   kind:string ->
-  header:string ->
+  header:record ->
   meta:(string * string) list ->
-  string list ->
+  record list ->
   string list
 (** [render ~kind ~header ~meta body] is the header line
-    [{"ck":kind,header}], one meta line per pair, [body], then the end
-    marker. [header] holds the header's remaining fields, already
-    rendered (["\"k\":v,..."]). *)
+    [{"ck":kind,header...}], one meta line per pair, one line per body
+    record (each carries its own [ck] tag), then the end marker. *)
 
 val write : string -> string list -> unit
 (** [write path lines] writes one line each to [path ^ ".tmp"], then

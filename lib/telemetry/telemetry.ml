@@ -358,636 +358,550 @@ let emit t ~minutes kind =
 let flush t = List.iter (fun s -> s.on_flush ()) t.sinks
 
 (* ------------------------------------------------------------------ *)
-(* Serialization: one JSON object per event *)
+(* The JSON codec: every JSON file of the project goes through it *)
 (* ------------------------------------------------------------------ *)
 
-(* 17 significant digits round-trip every IEEE double exactly; the
-   non-finite values JSON cannot express are quoted strings that
-   [float_of_string] maps back bit-exactly. *)
-let fstr x =
-  if Float.is_nan x then "\"nan\""
-  else if x = infinity then "\"inf\""
-  else if x = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" x
+module Json = struct
+  type v =
+    | Jstr of string
+    | Jnum of float
+    | Jint of int
+    | Jbool of bool
+    | Jarr of float list
+    | Jobj of (string * v) list
 
-let jstring s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+  exception Bad
 
-let json_of_event e =
-  let b = Buffer.create 160 in
-  let field name value =
-    if Buffer.length b > 1 then Buffer.add_char b ',';
-    Buffer.add_string b (jstring name);
-    Buffer.add_char b ':';
-    Buffer.add_string b value
-  in
-  let str name s = field name (jstring s) in
-  let num name f = field name (fstr f) in
-  let int_ name i = field name (string_of_int i) in
-  let bool_ name v = field name (if v then "true" else "false") in
-  Buffer.add_char b '{';
-  int_ "seq" e.e_seq;
-  num "min" e.e_minutes;
-  (match e.e_kind with
-  | Run_begin r ->
-    str "ev" "run_begin";
-    str "flow" r.flow;
-    int_ "cores" r.cores;
-    num "limit" r.time_limit
-  | Run_end r ->
-    str "ev" "run_end";
-    num "minutes" r.minutes;
-    int_ "evals" r.evals;
-    num "best" r.best
-  | Span_begin st ->
-    str "ev" "span_begin";
-    str "stage" st
-  | Span_end st ->
-    str "ev" "span_end";
-    str "stage" st
-  | Eval_start v ->
-    str "ev" "eval_start";
-    str "cfg" v.cfg_key;
-    int_ "part" v.partition;
-    str "tech" v.technique
-  | Eval_done v ->
-    str "ev" "eval_done";
-    str "cfg" v.cfg_key;
-    num "q" v.quality;
-    bool_ "feas" v.feasible;
-    num "emin" v.eval_minutes;
-    bool_ "hit" v.cache_hit;
-    int_ "part" v.partition;
-    str "tech" v.technique;
-    bool_ "imp" v.improved
-  | Bandit_select s ->
-    str "ev" "bandit_select";
-    int_ "arm" s.arm;
-    str "tech" s.technique;
-    field "scores"
-      ("["
-      ^ String.concat "," (Array.to_list (Array.map fstr s.scores))
-      ^ "]")
-  | Partition_start p ->
-    str "ev" "partition_start";
-    int_ "part" p.partition;
-    int_ "core" p.core;
-    str "constrs" p.constrs;
-    num "points" p.points
-  | Partition_stop p ->
-    str "ev" "partition_stop";
-    int_ "part" p.partition;
-    int_ "core" p.core;
-    str "reason" (stop_reason_name p.reason);
-    int_ "evals" p.evals
-  | Entropy_sample s ->
-    str "ev" "entropy_sample";
-    int_ "part" s.partition;
-    int_ "evals" s.evaluated;
-    num "entropy" s.entropy
-  | Seed_injected s ->
-    str "ev" "seed_injected";
-    str "cfg" s.cfg_key;
-    int_ "part" s.partition
-  | Fault_injected f ->
-    str "ev" "fault";
-    str "cfg" f.cfg_key;
-    int_ "part" f.partition;
-    str "class" f.failure;
-    num "lost" f.lost_minutes;
-    int_ "attempt" f.attempt
-  | Eval_retry r ->
-    str "ev" "retry";
-    str "cfg" r.cfg_key;
-    int_ "part" r.partition;
-    int_ "attempt" r.attempt;
-    num "backoff" r.backoff_minutes
-  | Quarantined q ->
-    str "ev" "quarantine";
-    str "cfg" q.cfg_key;
-    int_ "part" q.partition;
-    int_ "attempts" q.attempts;
-    num "lost" q.lost_minutes
-  | Core_lost c ->
-    str "ev" "core_lost";
-    int_ "core" c.core;
-    int_ "part" c.partition
-  | Failover f ->
-    str "ev" "failover";
-    int_ "part" f.partition;
-    int_ "from" f.from_core;
-    int_ "to" f.to_core
-  | Checkpoint_written c ->
-    str "ev" "checkpoint";
-    str "path" c.path;
-    num "minutes" c.minutes;
-    int_ "evals" c.evals
-  | Serve_enqueue s ->
-    str "ev" "serve_enq";
-    str "app" s.app;
-    int_ "req" s.request;
-    int_ "qlen" s.queue_len
-  | Serve_batch s ->
-    str "ev" "serve_batch";
-    str "app" s.app;
-    int_ "dev" s.device;
-    int_ "size" s.size;
-    num "svc" s.service_minutes
-  | Serve_reconfig s ->
-    str "ev" "serve_reconfig";
-    int_ "dev" s.device;
-    str "from" s.from_app;
-    str "to" s.to_app;
-    num "minutes" s.minutes
-  | Serve_fallback s ->
-    str "ev" "serve_fallback";
-    str "app" s.app;
-    int_ "req" s.request;
-    str "reason" s.reason
-  | Serve_complete s ->
-    str "ev" "serve_done";
-    str "app" s.app;
-    int_ "req" s.request;
-    num "lat" s.latency_minutes;
-    bool_ "acc" s.accelerated
-  | Serve_shed s ->
-    str "ev" "serve_shed";
-    str "app" s.app;
-    int_ "req" s.request;
-    str "stage" s.stage;
-    num "deadline" s.deadline_minutes;
-    num "est" s.estimate_minutes
-  | Serve_timeout s ->
-    str "ev" "serve_timeout";
-    str "app" s.app;
-    int_ "dev" s.device;
-    int_ "size" s.size;
-    num "waited" s.waited_minutes
-  | Serve_hedge s ->
-    str "ev" "serve_hedge";
-    str "app" s.app;
-    int_ "from" s.from_device;
-    int_ "to" s.to_device;
-    int_ "size" s.size
-  | Serve_breaker s ->
-    str "ev" "serve_breaker";
-    int_ "dev" s.device;
-    str "from" s.from_state;
-    str "to" s.to_state
-  | Serve_deadline s ->
-    str "ev" "serve_deadline";
-    str "app" s.app;
-    int_ "req" s.request;
-    bool_ "met" s.met;
-    num "slack" s.slack_minutes
-  | Fed_route s ->
-    str "ev" "fed_route";
-    str "app" s.app;
-    int_ "req" s.request;
-    int_ "region" s.region;
-    str "cluster" s.cluster;
-    num "rtt" s.rtt_minutes
-  | Fed_autoscale s ->
-    str "ev" "fed_autoscale";
-    str "cluster" s.cluster;
-    str "action" s.action;
-    int_ "devices" s.devices;
-    int_ "queue" s.queue_len
-  | Fed_retune s ->
-    str "ev" "fed_retune";
-    str "app" s.app;
-    int_ "epoch" s.epoch;
-    num "p99" s.p99_minutes;
-    num "slo" s.slo_minutes;
-    num "minutes" s.tune_minutes;
-    int_ "evals" s.evals
-  | Fed_promote s ->
-    str "ev" "fed_promote";
-    str "app" s.app;
-    int_ "epoch" s.epoch;
-    str "cfg" s.cfg);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  (* 17 significant digits round-trip every IEEE double exactly; the
+     non-finite values JSON cannot express are quoted strings. *)
+  let fstr x =
+    if Float.is_nan x then "\"nan\""
+    else if x = infinity then "\"inf\""
+    else if x = neg_infinity then "\"-inf\""
+    else Printf.sprintf "%.17g" x
 
-(* ---------- the matching mini JSON reader ---------- *)
+  let add_quoted b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 32 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
 
-type jv = Jstr of string | Jnum of float | Jbool of bool | Jarr of float list
+  let quote s =
+    let b = Buffer.create (String.length s + 2) in
+    add_quoted b s;
+    Buffer.contents b
 
-exception Bad
+  let add_list b ~sep add l =
+    List.iteri (fun i x -> if i > 0 then Buffer.add_char b sep; add x) l
 
-let parse_obj line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Bad else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do advance () done
-  in
-  let expect c = skip_ws (); if peek () <> c then raise Bad; advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        let e = peek () in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 > n then raise Bad;
-          let code = int_of_string ("0x" ^ String.sub line !pos 4) in
-          pos := !pos + 4;
-          if code > 255 then raise Bad;
-          Buffer.add_char b (Char.chr code)
-        | _ -> raise Bad);
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
+  let rec add_value b = function
+    | Jstr s -> add_quoted b s
+    | Jnum f -> Buffer.add_string b (fstr f)
+    | Jint i -> Buffer.add_string b (string_of_int i)
+    | Jbool v -> Buffer.add_string b (if v then "true" else "false")
+    | Jarr l ->
+      Buffer.add_char b '[';
+      add_list b ~sep:',' (fun f -> Buffer.add_string b (fstr f)) l;
+      Buffer.add_char b ']'
+    | Jobj fields -> add_obj b fields
+
+  and add_obj b fields =
+    Buffer.add_char b '{';
+    add_list b ~sep:','
+      (fun (k, v) ->
+        add_quoted b k;
+        Buffer.add_char b ':';
+        add_value b v)
+      fields;
+    Buffer.add_char b '}'
+
+  let obj fields =
+    let b = Buffer.create 160 in
+    add_obj b fields;
+    Buffer.contents b
+
+  (* The only quoted floats are the three [fstr] writes. *)
+  let nonfinite = function
+    | "inf" -> infinity
+    | "-inf" -> neg_infinity
+    | "nan" -> Float.nan
+    | _ -> raise Bad
+
+  let parse_obj src =
+    let n = String.length src in
+    let pos = ref 0 in
+    let peek () = if !pos < n then src.[!pos] else raise Bad in
+    let skip_ws () =
+      while
+        !pos < n
+        && match src.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      do
+        incr pos
+      done
     in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-      || c = 'E'
-    in
-    while !pos < n && num_char line.[!pos] do advance () done;
-    if !pos = start then raise Bad;
-    float_of_string (String.sub line start (!pos - start))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> (
-      let s = parse_string () in
-      (* Quoted non-finite floats come back as strings; callers that
-         expect a float coerce via [as_float]. *)
-      Jstr s)
-    | 't' ->
-      if !pos + 4 > n || String.sub line !pos 4 <> "true" then raise Bad;
-      pos := !pos + 4;
-      Jbool true
-    | 'f' ->
-      if !pos + 5 > n || String.sub line !pos 5 <> "false" then raise Bad;
-      pos := !pos + 5;
-      Jbool false
-    | '[' ->
-      advance ();
+    let expect c =
       skip_ws ();
-      if peek () = ']' then begin advance (); Jarr [] end
-      else begin
-        let rec go acc =
-          skip_ws ();
-          let v =
-            match peek () with '"' -> float_of_string (parse_string ()) | _ -> parse_number ()
-          in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); go (v :: acc)
-          | ']' -> advance (); List.rev (v :: acc)
+      if peek () <> c then raise Bad;
+      incr pos
+    in
+    let hex4 () =
+      if !pos + 4 > n then raise Bad;
+      let code = ref 0 in
+      for i = !pos to !pos + 3 do
+        let d =
+          match src.[i] with
+          | '0' .. '9' as c -> Char.code c - 48
+          | 'a' .. 'f' as c -> Char.code c - 87
+          | 'A' .. 'F' as c -> Char.code c - 55
           | _ -> raise Bad
         in
-        Jarr (go [])
-      end
-    | _ -> Jnum (parse_number ())
-  in
-  expect '{';
-  let rec fields acc =
-    skip_ws ();
-    if peek () = '}' then begin advance (); List.rev acc end
-    else begin
-      let k = parse_string () in
-      expect ':';
-      let v = parse_value () in
+        code := (!code * 16) + d
+      done;
+      pos := !pos + 4;
+      if !code > 255 then raise Bad;
+      Char.chr !code
+    in
+    let string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        let c = peek () in
+        incr pos;
+        if c = '"' then Buffer.contents b
+        else begin
+          (if c <> '\\' then Buffer.add_char b c
+           else
+             let e = peek () in
+             incr pos;
+             Buffer.add_char b
+               (match e with
+               | '"' | '\\' -> e
+               | 'n' -> '\n'
+               | 'r' -> '\r'
+               | 't' -> '\t'
+               | 'u' -> hex4 ()
+               | _ -> raise Bad));
+          go ()
+        end
+      in
+      go ()
+    in
+    (* RFC 8259 number grammar, so [float_of_string] cannot fail. *)
+    let number () =
+      let start = !pos in
+      let digits () =
+        let d = !pos in
+        while !pos < n && src.[!pos] >= '0' && src.[!pos] <= '9' do
+          incr pos
+        done;
+        if !pos = d then raise Bad
+      in
+      let skip c =
+        if !pos < n && src.[!pos] = c then (incr pos; true) else false
+      in
+      ignore (skip '-');
+      if not (skip '0') then digits ();
+      if skip '.' then digits ();
+      if skip 'e' || skip 'E' then begin
+        ignore (skip '+' || skip '-');
+        digits ()
+      end;
+      float_of_string (String.sub src start (!pos - start))
+    in
+    let literal word v =
+      let k = String.length word in
+      if !pos + k > n || String.sub src !pos k <> word then raise Bad;
+      pos := !pos + k;
+      v
+    in
+    let items close item =
+      skip_ws ();
+      if peek () = close then (incr pos; [])
+      else
+        let rec go acc =
+          let x = item () in
+          skip_ws ();
+          match peek () with
+          | ',' -> incr pos; go (x :: acc)
+          | c when c = close -> incr pos; List.rev (x :: acc)
+          | _ -> raise Bad
+        in
+        go []
+    in
+    let rec value () =
       skip_ws ();
       match peek () with
-      | ',' -> advance (); fields ((k, v) :: acc)
-      | '}' -> advance (); List.rev ((k, v) :: acc)
-      | _ -> raise Bad
-    end
-  in
-  fields []
+      | '"' -> Jstr (string ())
+      | 't' -> literal "true" (Jbool true)
+      | 'f' -> literal "false" (Jbool false)
+      | '{' -> Jobj (obj ())
+      | '[' ->
+        incr pos;
+        Jarr
+          (items ']' (fun () ->
+               skip_ws ();
+               if peek () = '"' then nonfinite (string ()) else number ()))
+      | _ -> Jnum (number ())
+    and obj () =
+      expect '{';
+      items '}' (fun () ->
+          let k = string () in
+          expect ':';
+          (k, value ()))
+    in
+    let fields = obj () in
+    skip_ws ();
+    if !pos <> n then raise Bad;
+    fields
 
-let as_float = function
-  | Jnum f -> f
-  | Jstr s -> float_of_string s
-  | _ -> raise Bad
+  let find fields k = List.assoc_opt k fields
 
-let fget fields k =
-  match List.assoc_opt k fields with Some v -> as_float v | None -> raise Bad
+  let get fields k = match find fields k with Some v -> v | None -> raise Bad
 
-let iget fields k = int_of_float (fget fields k)
+  let get_float fields k =
+    match get fields k with
+    | Jnum f -> f
+    | Jint i -> float_of_int i
+    | Jstr s -> nonfinite s
+    | _ -> raise Bad
 
-let sget fields k =
-  match List.assoc_opt k fields with Some (Jstr s) -> s | _ -> raise Bad
+  (* Integral and no larger than 2^53, where the float reading is exact. *)
+  let get_int fields k =
+    match get fields k with
+    | Jint i -> i
+    | Jnum f when Float.is_integer f && Float.abs f <= 0x1p53 -> int_of_float f
+    | _ -> raise Bad
 
-let bget fields k =
-  match List.assoc_opt k fields with Some (Jbool b) -> b | _ -> raise Bad
+  let get_str fields k = match get fields k with Jstr s -> s | _ -> raise Bad
 
-let aget fields k =
-  match List.assoc_opt k fields with Some (Jarr l) -> l | _ -> raise Bad
+  let get_bool fields k = match get fields k with Jbool b -> b | _ -> raise Bad
 
+  let get_arr fields k = match get fields k with Jarr l -> l | _ -> raise Bad
+
+  let get_obj fields k = match get fields k with Jobj o -> o | _ -> raise Bad
+end
+
+(* ------------------------------------------------------------------ *)
+(* The event table: each kind's tag and wire fields, declared once for
+   the JSONL encoding and the logs rendering *)
+(* ------------------------------------------------------------------ *)
+
+let fields_of_kind : kind -> string * (string * Json.v) list =
+  let open Json in
+  function
+  | Run_begin r ->
+    ("run_begin", [ ("flow", Jstr r.flow); ("cores", Jint r.cores);
+                    ("limit", Jnum r.time_limit) ])
+  | Run_end r ->
+    ("run_end", [ ("minutes", Jnum r.minutes); ("evals", Jint r.evals);
+                  ("best", Jnum r.best) ])
+  | Span_begin st -> ("span_begin", [ ("stage", Jstr st) ])
+  | Span_end st -> ("span_end", [ ("stage", Jstr st) ])
+  | Eval_start v ->
+    ("eval_start", [ ("cfg", Jstr v.cfg_key); ("part", Jint v.partition);
+                     ("tech", Jstr v.technique) ])
+  | Eval_done v ->
+    ("eval_done", [ ("cfg", Jstr v.cfg_key); ("q", Jnum v.quality);
+                    ("feas", Jbool v.feasible); ("emin", Jnum v.eval_minutes);
+                    ("hit", Jbool v.cache_hit); ("part", Jint v.partition);
+                    ("tech", Jstr v.technique); ("imp", Jbool v.improved) ])
+  | Bandit_select s ->
+    ("bandit_select", [ ("arm", Jint s.arm); ("tech", Jstr s.technique);
+                        ("scores", Jarr (Array.to_list s.scores)) ])
+  | Partition_start p ->
+    ("partition_start", [ ("part", Jint p.partition); ("core", Jint p.core);
+                          ("constrs", Jstr p.constrs);
+                          ("points", Jnum p.points) ])
+  | Partition_stop p ->
+    ("partition_stop", [ ("part", Jint p.partition); ("core", Jint p.core);
+                         ("reason", Jstr (stop_reason_name p.reason));
+                         ("evals", Jint p.evals) ])
+  | Entropy_sample s ->
+    ("entropy_sample", [ ("part", Jint s.partition);
+                         ("evals", Jint s.evaluated);
+                         ("entropy", Jnum s.entropy) ])
+  | Seed_injected s ->
+    ("seed_injected", [ ("cfg", Jstr s.cfg_key); ("part", Jint s.partition) ])
+  | Fault_injected f ->
+    ("fault", [ ("cfg", Jstr f.cfg_key); ("part", Jint f.partition);
+                ("class", Jstr f.failure); ("lost", Jnum f.lost_minutes);
+                ("attempt", Jint f.attempt) ])
+  | Eval_retry r ->
+    ("retry", [ ("cfg", Jstr r.cfg_key); ("part", Jint r.partition);
+                ("attempt", Jint r.attempt);
+                ("backoff", Jnum r.backoff_minutes) ])
+  | Quarantined q ->
+    ("quarantine", [ ("cfg", Jstr q.cfg_key); ("part", Jint q.partition);
+                     ("attempts", Jint q.attempts);
+                     ("lost", Jnum q.lost_minutes) ])
+  | Core_lost c ->
+    ("core_lost", [ ("core", Jint c.core); ("part", Jint c.partition) ])
+  | Failover f ->
+    ("failover", [ ("part", Jint f.partition); ("from", Jint f.from_core);
+                   ("to", Jint f.to_core) ])
+  | Checkpoint_written c ->
+    ("checkpoint", [ ("path", Jstr c.path); ("minutes", Jnum c.minutes);
+                     ("evals", Jint c.evals) ])
+  | Serve_enqueue s ->
+    ("serve_enq", [ ("app", Jstr s.app); ("req", Jint s.request);
+                    ("qlen", Jint s.queue_len) ])
+  | Serve_batch s ->
+    ("serve_batch", [ ("app", Jstr s.app); ("dev", Jint s.device);
+                      ("size", Jint s.size);
+                      ("svc", Jnum s.service_minutes) ])
+  | Serve_reconfig s ->
+    ("serve_reconfig", [ ("dev", Jint s.device); ("from", Jstr s.from_app);
+                         ("to", Jstr s.to_app); ("minutes", Jnum s.minutes) ])
+  | Serve_fallback s ->
+    ("serve_fallback", [ ("app", Jstr s.app); ("req", Jint s.request);
+                         ("reason", Jstr s.reason) ])
+  | Serve_complete s ->
+    ("serve_done", [ ("app", Jstr s.app); ("req", Jint s.request);
+                     ("lat", Jnum s.latency_minutes);
+                     ("acc", Jbool s.accelerated) ])
+  | Serve_shed s ->
+    ("serve_shed", [ ("app", Jstr s.app); ("req", Jint s.request);
+                     ("stage", Jstr s.stage);
+                     ("deadline", Jnum s.deadline_minutes);
+                     ("est", Jnum s.estimate_minutes) ])
+  | Serve_timeout s ->
+    ("serve_timeout", [ ("app", Jstr s.app); ("dev", Jint s.device);
+                        ("size", Jint s.size);
+                        ("waited", Jnum s.waited_minutes) ])
+  | Serve_hedge s ->
+    ("serve_hedge", [ ("app", Jstr s.app); ("from", Jint s.from_device);
+                      ("to", Jint s.to_device); ("size", Jint s.size) ])
+  | Serve_breaker s ->
+    ("serve_breaker", [ ("dev", Jint s.device); ("from", Jstr s.from_state);
+                        ("to", Jstr s.to_state) ])
+  | Serve_deadline s ->
+    ("serve_deadline", [ ("app", Jstr s.app); ("req", Jint s.request);
+                         ("met", Jbool s.met);
+                         ("slack", Jnum s.slack_minutes) ])
+  | Fed_route s ->
+    ("fed_route", [ ("app", Jstr s.app); ("req", Jint s.request);
+                    ("region", Jint s.region); ("cluster", Jstr s.cluster);
+                    ("rtt", Jnum s.rtt_minutes) ])
+  | Fed_autoscale s ->
+    ("fed_autoscale", [ ("cluster", Jstr s.cluster);
+                        ("action", Jstr s.action);
+                        ("devices", Jint s.devices);
+                        ("queue", Jint s.queue_len) ])
+  | Fed_retune s ->
+    ("fed_retune", [ ("app", Jstr s.app); ("epoch", Jint s.epoch);
+                     ("p99", Jnum s.p99_minutes); ("slo", Jnum s.slo_minutes);
+                     ("minutes", Jnum s.tune_minutes);
+                     ("evals", Jint s.evals) ])
+  | Fed_promote s ->
+    ("fed_promote", [ ("app", Jstr s.app); ("epoch", Jint s.epoch);
+                      ("cfg", Jstr s.cfg) ])
+
+let json_of_event e =
+  let tag, fields = fields_of_kind e.e_kind in
+  Json.obj
+    (("seq", Json.Jint e.e_seq) :: ("min", Json.Jnum e.e_minutes)
+    :: ("ev", Json.Jstr tag) :: fields)
+
+(* One decode arm per kind, reading the fields [fields_of_kind] wrote. *)
 let event_of_json line =
   match
-    let fields = parse_obj line in
+    let f = Json.parse_obj line in
+    let str = Json.get_str f and int = Json.get_int f
+    and num = Json.get_float f and bool = Json.get_bool f in
     let kind =
-      match sget fields "ev" with
+      match str "ev" with
       | "run_begin" ->
         Run_begin
-          { flow = sget fields "flow";
-            cores = iget fields "cores";
-            time_limit = fget fields "limit" }
+          { flow = str "flow"; cores = int "cores"; time_limit = num "limit" }
       | "run_end" ->
         Run_end
-          { minutes = fget fields "minutes";
-            evals = iget fields "evals";
-            best = fget fields "best" }
-      | "span_begin" -> Span_begin (sget fields "stage")
-      | "span_end" -> Span_end (sget fields "stage")
+          { minutes = num "minutes"; evals = int "evals"; best = num "best" }
+      | "span_begin" -> Span_begin (str "stage")
+      | "span_end" -> Span_end (str "stage")
       | "eval_start" ->
         Eval_start
-          { cfg_key = sget fields "cfg";
-            partition = iget fields "part";
-            technique = sget fields "tech" }
+          { cfg_key = str "cfg";
+            partition = int "part";
+            technique = str "tech" }
       | "eval_done" ->
         Eval_done
-          { cfg_key = sget fields "cfg";
-            quality = fget fields "q";
-            feasible = bget fields "feas";
-            eval_minutes = fget fields "emin";
-            cache_hit = bget fields "hit";
-            partition = iget fields "part";
-            technique = sget fields "tech";
-            improved = bget fields "imp" }
+          { cfg_key = str "cfg";
+            quality = num "q";
+            feasible = bool "feas";
+            eval_minutes = num "emin";
+            cache_hit = bool "hit";
+            partition = int "part";
+            technique = str "tech";
+            improved = bool "imp" }
       | "bandit_select" ->
         Bandit_select
-          { arm = iget fields "arm";
-            technique = sget fields "tech";
-            scores = Array.of_list (aget fields "scores") }
+          { arm = int "arm";
+            technique = str "tech";
+            scores = Array.of_list (Json.get_arr f "scores") }
       | "partition_start" ->
         Partition_start
-          { partition = iget fields "part";
-            core = iget fields "core";
-            constrs = sget fields "constrs";
-            points = fget fields "points" }
+          { partition = int "part";
+            core = int "core";
+            constrs = str "constrs";
+            points = num "points" }
       | "partition_stop" ->
         Partition_stop
-          { partition = iget fields "part";
-            core = iget fields "core";
+          { partition = int "part";
+            core = int "core";
             reason =
-              (match stop_reason_of_name (sget fields "reason") with
+              (match stop_reason_of_name (str "reason") with
               | Some r -> r
-              | None -> raise Bad);
-            evals = iget fields "evals" }
+              | None -> raise Json.Bad);
+            evals = int "evals" }
       | "entropy_sample" ->
         Entropy_sample
-          { partition = iget fields "part";
-            evaluated = iget fields "evals";
-            entropy = fget fields "entropy" }
+          { partition = int "part";
+            evaluated = int "evals";
+            entropy = num "entropy" }
       | "seed_injected" ->
-        Seed_injected
-          { cfg_key = sget fields "cfg"; partition = iget fields "part" }
+        Seed_injected { cfg_key = str "cfg"; partition = int "part" }
       | "fault" ->
         Fault_injected
-          { cfg_key = sget fields "cfg";
-            partition = iget fields "part";
-            failure = sget fields "class";
-            lost_minutes = fget fields "lost";
-            attempt = iget fields "attempt" }
+          { cfg_key = str "cfg";
+            partition = int "part";
+            failure = str "class";
+            lost_minutes = num "lost";
+            attempt = int "attempt" }
       | "retry" ->
         Eval_retry
-          { cfg_key = sget fields "cfg";
-            partition = iget fields "part";
-            attempt = iget fields "attempt";
-            backoff_minutes = fget fields "backoff" }
+          { cfg_key = str "cfg";
+            partition = int "part";
+            attempt = int "attempt";
+            backoff_minutes = num "backoff" }
       | "quarantine" ->
         Quarantined
-          { cfg_key = sget fields "cfg";
-            partition = iget fields "part";
-            attempts = iget fields "attempts";
-            lost_minutes = fget fields "lost" }
-      | "core_lost" ->
-        Core_lost { core = iget fields "core"; partition = iget fields "part" }
+          { cfg_key = str "cfg";
+            partition = int "part";
+            attempts = int "attempts";
+            lost_minutes = num "lost" }
+      | "core_lost" -> Core_lost { core = int "core"; partition = int "part" }
       | "failover" ->
         Failover
-          { partition = iget fields "part";
-            from_core = iget fields "from";
-            to_core = iget fields "to" }
+          { partition = int "part"; from_core = int "from"; to_core = int "to" }
       | "checkpoint" ->
         Checkpoint_written
-          { path = sget fields "path";
-            minutes = fget fields "minutes";
-            evals = iget fields "evals" }
+          { path = str "path"; minutes = num "minutes"; evals = int "evals" }
       | "serve_enq" ->
         Serve_enqueue
-          { app = sget fields "app";
-            request = iget fields "req";
-            queue_len = iget fields "qlen" }
+          { app = str "app"; request = int "req"; queue_len = int "qlen" }
       | "serve_batch" ->
         Serve_batch
-          { app = sget fields "app";
-            device = iget fields "dev";
-            size = iget fields "size";
-            service_minutes = fget fields "svc" }
+          { app = str "app";
+            device = int "dev";
+            size = int "size";
+            service_minutes = num "svc" }
       | "serve_reconfig" ->
         Serve_reconfig
-          { device = iget fields "dev";
-            from_app = sget fields "from";
-            to_app = sget fields "to";
-            minutes = fget fields "minutes" }
+          { device = int "dev";
+            from_app = str "from";
+            to_app = str "to";
+            minutes = num "minutes" }
       | "serve_fallback" ->
         Serve_fallback
-          { app = sget fields "app";
-            request = iget fields "req";
-            reason = sget fields "reason" }
+          { app = str "app"; request = int "req"; reason = str "reason" }
       | "serve_done" ->
         Serve_complete
-          { app = sget fields "app";
-            request = iget fields "req";
-            latency_minutes = fget fields "lat";
-            accelerated = bget fields "acc" }
+          { app = str "app";
+            request = int "req";
+            latency_minutes = num "lat";
+            accelerated = bool "acc" }
       | "serve_shed" ->
         Serve_shed
-          { app = sget fields "app";
-            request = iget fields "req";
-            stage = sget fields "stage";
-            deadline_minutes = fget fields "deadline";
-            estimate_minutes = fget fields "est" }
+          { app = str "app";
+            request = int "req";
+            stage = str "stage";
+            deadline_minutes = num "deadline";
+            estimate_minutes = num "est" }
       | "serve_timeout" ->
         Serve_timeout
-          { app = sget fields "app";
-            device = iget fields "dev";
-            size = iget fields "size";
-            waited_minutes = fget fields "waited" }
+          { app = str "app";
+            device = int "dev";
+            size = int "size";
+            waited_minutes = num "waited" }
       | "serve_hedge" ->
         Serve_hedge
-          { app = sget fields "app";
-            from_device = iget fields "from";
-            to_device = iget fields "to";
-            size = iget fields "size" }
+          { app = str "app";
+            from_device = int "from";
+            to_device = int "to";
+            size = int "size" }
       | "serve_breaker" ->
         Serve_breaker
-          { device = iget fields "dev";
-            from_state = sget fields "from";
-            to_state = sget fields "to" }
+          { device = int "dev"; from_state = str "from"; to_state = str "to" }
       | "serve_deadline" ->
         Serve_deadline
-          { app = sget fields "app";
-            request = iget fields "req";
-            met = bget fields "met";
-            slack_minutes = fget fields "slack" }
+          { app = str "app";
+            request = int "req";
+            met = bool "met";
+            slack_minutes = num "slack" }
       | "fed_route" ->
         Fed_route
-          { app = sget fields "app";
-            request = iget fields "req";
-            region = iget fields "region";
-            cluster = sget fields "cluster";
-            rtt_minutes = fget fields "rtt" }
+          { app = str "app";
+            request = int "req";
+            region = int "region";
+            cluster = str "cluster";
+            rtt_minutes = num "rtt" }
       | "fed_autoscale" ->
         Fed_autoscale
-          { cluster = sget fields "cluster";
-            action = sget fields "action";
-            devices = iget fields "devices";
-            queue_len = iget fields "queue" }
+          { cluster = str "cluster";
+            action = str "action";
+            devices = int "devices";
+            queue_len = int "queue" }
       | "fed_retune" ->
         Fed_retune
-          { app = sget fields "app";
-            epoch = iget fields "epoch";
-            p99_minutes = fget fields "p99";
-            slo_minutes = fget fields "slo";
-            tune_minutes = fget fields "minutes";
-            evals = iget fields "evals" }
+          { app = str "app";
+            epoch = int "epoch";
+            p99_minutes = num "p99";
+            slo_minutes = num "slo";
+            tune_minutes = num "minutes";
+            evals = int "evals" }
       | "fed_promote" ->
-        Fed_promote
-          { app = sget fields "app";
-            epoch = iget fields "epoch";
-            cfg = sget fields "cfg" }
-      | _ -> raise Bad
+        Fed_promote { app = str "app"; epoch = int "epoch"; cfg = str "cfg" }
+      | _ -> raise Json.Bad
     in
-    { e_seq = iget fields "seq"; e_minutes = fget fields "min"; e_kind = kind }
+    { e_seq = int "seq"; e_minutes = num "min"; e_kind = kind }
   with
   | ev -> Some ev
-  | exception _ -> None
+  | exception Json.Bad -> None
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable rendering (the logs sink's format) *)
 (* ------------------------------------------------------------------ *)
 
+(* [[seq] min tag key=value ...]; a string that is empty or holds a
+   blank, a quote, an [=] or a control character is printed quoted. *)
+let pp_value ppf = function
+  | Json.Jstr s
+    when s <> "" && String.for_all (fun c -> c > ' ' && c <> '"' && c <> '=') s
+    ->
+    Format.pp_print_string ppf s
+  | Json.Jstr s -> Format.pp_print_string ppf (Json.quote s)
+  | Json.Jnum f -> Format.fprintf ppf "%g" f
+  | Json.Jint i -> Format.pp_print_int ppf i
+  | Json.Jbool b -> Format.pp_print_bool ppf b
+  | Json.Jarr l ->
+    Format.fprintf ppf "[%s]"
+      (String.concat "," (List.map (Printf.sprintf "%g") l))
+  | Json.Jobj o -> Format.pp_print_string ppf (Json.obj o)
+
 let pp_event ppf e =
-  let p fmt = Format.fprintf ppf fmt in
-  p "[%6d] %8.1fm " e.e_seq e.e_minutes;
-  match e.e_kind with
-  | Run_begin r ->
-    p "run_begin flow=%s cores=%d limit=%.0fm" r.flow r.cores r.time_limit
-  | Run_end r ->
-    p "run_end minutes=%.1f evals=%d best=%g" r.minutes r.evals r.best
-  | Span_begin st -> p "span_begin %s" st
-  | Span_end st -> p "span_end %s" st
-  | Eval_start v ->
-    p "eval_start part=%d tech=%s cfg=%s" v.partition
-      (if v.technique = "" then "-" else v.technique)
-      v.cfg_key
-  | Eval_done v ->
-    p "eval_done part=%d tech=%s q=%g feas=%b %.1fm%s%s cfg=%s" v.partition
-      (if v.technique = "" then "-" else v.technique)
-      v.quality v.feasible v.eval_minutes
-      (if v.cache_hit then " hit" else "")
-      (if v.improved then " improved" else "")
-      v.cfg_key
-  | Bandit_select s ->
-    p "bandit_select arm=%d tech=%s scores=[%s]" s.arm s.technique
-      (String.concat " "
-         (Array.to_list (Array.map (Printf.sprintf "%.3f") s.scores)))
-  | Partition_start q ->
-    p "partition_start part=%d core=%d points=%g constrs=%s" q.partition
-      q.core q.points
-      (if q.constrs = "" then "-" else q.constrs)
-  | Partition_stop q ->
-    p "partition_stop part=%d core=%d reason=%s evals=%d" q.partition q.core
-      (stop_reason_name q.reason) q.evals
-  | Entropy_sample s ->
-    p "entropy_sample part=%d evals=%d entropy=%.4f" s.partition s.evaluated
-      s.entropy
-  | Seed_injected s -> p "seed_injected part=%d cfg=%s" s.partition s.cfg_key
-  | Fault_injected f ->
-    p "fault part=%d class=%s lost=%.1fm attempt=%d cfg=%s" f.partition
-      f.failure f.lost_minutes f.attempt f.cfg_key
-  | Eval_retry r ->
-    p "retry part=%d attempt=%d backoff=%.1fm cfg=%s" r.partition r.attempt
-      r.backoff_minutes r.cfg_key
-  | Quarantined q ->
-    p "quarantine part=%d attempts=%d lost=%.1fm cfg=%s" q.partition
-      q.attempts q.lost_minutes q.cfg_key
-  | Core_lost c -> p "core_lost core=%d part=%d" c.core c.partition
-  | Failover f ->
-    p "failover part=%d from=%d to=%d" f.partition f.from_core f.to_core
-  | Checkpoint_written c ->
-    p "checkpoint minutes=%.1f evals=%d path=%s" c.minutes c.evals c.path
-  | Serve_enqueue s ->
-    p "serve_enq app=%s req=%d qlen=%d" s.app s.request s.queue_len
-  | Serve_batch s ->
-    p "serve_batch app=%s dev=%d size=%d svc=%.4fm" s.app s.device s.size
-      s.service_minutes
-  | Serve_reconfig s ->
-    p "serve_reconfig dev=%d from=%s to=%s %.2fm" s.device
-      (if s.from_app = "" then "-" else s.from_app)
-      s.to_app s.minutes
-  | Serve_fallback s ->
-    p "serve_fallback app=%s req=%d reason=%s" s.app s.request s.reason
-  | Serve_complete s ->
-    p "serve_done app=%s req=%d lat=%.4fm%s" s.app s.request s.latency_minutes
-      (if s.accelerated then "" else " jvm")
-  | Serve_shed s ->
-    p "serve_shed app=%s req=%d stage=%s deadline=%.4fm est=%.4fm" s.app
-      s.request s.stage s.deadline_minutes s.estimate_minutes
-  | Serve_timeout s ->
-    p "serve_timeout app=%s dev=%d size=%d waited=%.4fm" s.app s.device
-      s.size s.waited_minutes
-  | Serve_hedge s ->
-    p "serve_hedge app=%s from=%d to=%d size=%d" s.app s.from_device
-      s.to_device s.size
-  | Serve_breaker s ->
-    p "serve_breaker dev=%d %s->%s" s.device s.from_state s.to_state
-  | Serve_deadline s ->
-    p "serve_deadline app=%s req=%d met=%b slack=%.4fm" s.app s.request s.met
-      s.slack_minutes
-  | Fed_route s ->
-    p "fed_route app=%s req=%d region=%d cluster=%s rtt=%.4fm" s.app
-      s.request s.region s.cluster s.rtt_minutes
-  | Fed_autoscale s ->
-    p "fed_autoscale cluster=%s %s devices=%d queue=%d" s.cluster s.action
-      s.devices s.queue_len
-  | Fed_retune s ->
-    p "fed_retune app=%s epoch=%d p99=%.4fm slo=%.4fm tuned=%.1fm evals=%d"
-      s.app s.epoch s.p99_minutes s.slo_minutes s.tune_minutes s.evals
-  | Fed_promote s ->
-    p "fed_promote app=%s epoch=%d cfg=%s" s.app s.epoch s.cfg
+  let tag, fields = fields_of_kind e.e_kind in
+  Format.fprintf ppf "[%6d] %8.1fm %s" e.e_seq e.e_minutes tag;
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) fields
 
 (* ------------------------------------------------------------------ *)
 (* Built-in sinks *)
@@ -1025,29 +939,3 @@ let logs_sink ?(level = Logs.Debug) () =
       (fun e ->
         Logs.msg ~src:log_src level (fun m -> m "%a" pp_event e));
     on_flush = (fun () -> ()) }
-
-(* ------------------------------------------------------------------ *)
-(* The mini JSON codec, exposed for the other JSONL formats of the
-   project (the DSE checkpoint files reuse the exact float round-trip
-   contract of the trace encoding). *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type v = jv =
-    | Jstr of string
-    | Jnum of float
-    | Jbool of bool
-    | Jarr of float list
-
-  exception Bad = Bad
-
-  let fstr = fstr
-  let quote = jstring
-  let parse_obj = parse_obj
-  let find fields k = List.assoc_opt k fields
-  let get_float = fget
-  let get_int = iget
-  let get_str = sget
-  let get_bool = bget
-  let get_arr = aget
-end

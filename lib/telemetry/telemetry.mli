@@ -293,10 +293,14 @@ val logs_sink : ?level:Logs.level -> unit -> sink
 
 val log_src : Logs.src
 
-(** {1 Serialization} *)
+(** {1 Serialization}
+
+    Each kind's tag and fields are declared once, in one table; the
+    JSONL encoding and the logs rendering both walk it. *)
 
 val json_of_event : event -> string
-(** One JSON object, no trailing newline. Floats are printed with 17
+(** One JSON object, no trailing newline: [seq], [min], [ev] (the
+    kind's tag), then the kind's fields. Floats are printed with 17
     significant digits, so parsing the line back yields bit-identical
     values; non-finite floats are encoded as the strings ["inf"],
     ["-inf"], ["nan"]. *)
@@ -305,21 +309,33 @@ val event_of_json : string -> event option
 (** Inverse of {!json_of_event}; [None] on anything malformed. *)
 
 val pp_event : Format.formatter -> event -> unit
-(** The human-readable rendering the logs sink uses. *)
+(** The human-readable rendering the logs sink uses:
+    [[seq] minutes tag key=value ...], one line, with the same tag and
+    keys as the JSON encoding. Floats print with [%g]; a string that
+    is empty or holds a blank, quote, [=] or control character prints
+    JSON-quoted. *)
 
-(** The trace encoding's mini JSON codec, exposed so the project's other
-    JSONL formats (the DSE checkpoint files) share its exact float
-    round-trip contract: 17-significant-digit floats, non-finite values
-    as the quoted strings ["inf"] / ["-inf"] / ["nan"]. *)
+(** The project's one JSON codec. Every JSON file the project reads or
+    writes goes through it: JSONL traces, span profiles, the checkpoint
+    envelopes and the [BENCH_*.json] trajectories. Floats print with 17
+    significant digits and non-finite values as the quoted strings
+    ["inf"] / ["-inf"] / ["nan"], so every float round-trips bit for
+    bit. *)
 module Json : sig
   type v =
     | Jstr of string
     | Jnum of float
+    | Jint of int
+        (** Written with [string_of_int]. The parser never produces it:
+            every number reads back as [Jnum]. *)
     | Jbool of bool
-    | Jarr of float list  (** Arrays hold floats only. *)
+    | Jarr of float list
+        (** Arrays hold floats only; elements may be the quoted
+            non-finite encodings. *)
+    | Jobj of (string * v) list  (** Fields in source order. *)
 
   exception Bad
-  (** Raised by the parser and getters on malformed input. *)
+  (** The only exception the parser and getters raise. *)
 
   val fstr : float -> string
   (** Bit-exact float literal (quoted string for non-finite values). *)
@@ -327,19 +343,31 @@ module Json : sig
   val quote : string -> string
   (** JSON string literal with escaping. *)
 
+  val obj : (string * v) list -> string
+  (** One JSON object on one line, fields in list order, no blanks. *)
+
   val parse_obj : string -> (string * v) list
-  (** Parse one flat JSON object; fields in source order. *)
+  (** Parse one JSON object, nested objects included; blanks, tabs,
+      newlines and carriage returns are whitespace. Rejects trailing
+      bytes, numbers outside the JSON grammar and quoted strings in an
+      array other than the three non-finite encodings. *)
 
   val find : (string * v) list -> string -> v option
 
   val get_float : (string * v) list -> string -> float
-  (** Required float field; accepts the quoted non-finite encodings. *)
+  (** Required float field; accepts the quoted non-finite encodings
+      and no other string. *)
 
   val get_int : (string * v) list -> string -> int
+  (** Required integral field of magnitude at most 2^53 (where the
+      float reading is exact); rejects fractions and non-finite
+      values. *)
 
   val get_str : (string * v) list -> string -> string
 
   val get_bool : (string * v) list -> string -> bool
 
   val get_arr : (string * v) list -> string -> float list
+
+  val get_obj : (string * v) list -> string -> (string * v) list
 end

@@ -12,7 +12,12 @@
    - [value_path.md5] was produced by the per-instruction JVM
      interpreter and the environment-table C interpreter that the
      decode-once interpreters replaced, so a match is the old-vs-new
-     value-path differential. *)
+     value-path differential.
+   - [events.jsonl] holds the JSONL encoding of one trace event of
+     every kind, recorded by the hand-written per-kind encoder that the
+     event table replaced.
+   - [observability.md5] also pins DSE and fleet checkpoint files
+     (cases [ck/...]). *)
 
 (* dune runtest runs us in test/; a bare [dune exec] runs from the
    workspace root. Pick by directory, not file, so the update mode can
@@ -80,6 +85,19 @@ let check ~golden ~prefix cases =
       Alcotest.failf "%s golden mismatch:\n  %s" golden
         (String.concat "\n  " moved)
   end
+
+(* A text golden is the committed file itself, compared byte for byte. *)
+let check_text ~golden text =
+  if update then
+    Out_channel.with_open_bin (file golden) (fun oc ->
+        Out_channel.output_string oc text)
+  else
+    let path = file golden in
+    if not (Sys.file_exists path) then Alcotest.failf "%s: missing" golden
+    else
+      Alcotest.(check string) (golden ^ " golden")
+        (In_channel.with_open_bin path In_channel.input_all)
+        text
 
 let check_sweep ~prefix cases =
   check ~golden:"engine_sweep.md5" ~prefix

@@ -12,12 +12,13 @@
      - neither a serve's per-batch estimates nor a federation's nested
        re-tuning DSE put modeled minutes under serving spans;
      - [golden/observability.md5] pins six CLI runs' traces, replays
-       and profiles;
+       and profiles, and three runs' last checkpoint file;
      - the folded-stack encoding falls back to span counts when the
        whole profile has zero virtual duration;
-     - the perf trajectory round-trips through BENCH_<section>.json and
-       `Perf.diff` flags an injected 2x regression while passing an
-       identical trajectory;
+     - the perf trajectory round-trips through BENCH_<section>.json,
+       loads from any layout of the same JSON and rejects malformed
+       files, and `Perf.diff` flags an injected 2x regression while
+       passing an identical trajectory;
      - the Prometheus exposition of a metrics snapshot is deterministic
        and well-formed. *)
 
@@ -478,6 +479,35 @@ let test_observability_golden () =
   Golden.check ~golden:"observability.md5" ~prefix:"obs/"
     (List.map (fun (case, args) -> (case, traced_run args)) golden_runs)
 
+(* The same golden pins the bytes of the last checkpoint each run
+   writes. Resume only compares regenerated lines with lines the same
+   build stored, so without these a change to the checkpoint encoding
+   would go unnoticed. *)
+let checkpoint_runs =
+  [ ( "ck/dse-kmeans-faulted",
+      "dse -w KMeans --minutes 40 --seed 3 --faults crash=0.1,hang=0.05 \
+       --ck-every 10" );
+    ( "ck/dse-kmeans-faulted-shared-db",
+      "dse -w KMeans --minutes 40 --seed 3 --shared-db \
+       --faults crash=0.1,hang=0.05 --ck-every 10" );
+    ( "ck/serve-slo-faulted",
+      "serve --apps KMeans:400:1,LR:300:2 --policy fair --horizon 0.5 \
+       --seed 7 --slo-ms 30000 --hang-factor 3 --hedge --breaker \
+       --faults hang=0.2,core_loss=0.05 --ck-every-s 2" ) ]
+
+let checkpoint_run args =
+  let ck = Filename.temp_file "s2fa_obs" ".ck.jsonl" in
+  sh "S2FA_LOGS= %s %s --checkpoint %s > /dev/null" cli args
+    (Filename.quote ck);
+  let bytes = read_file ck in
+  Sys.remove ck;
+  [ ("checkpoint", bytes) ]
+
+let test_checkpoint_golden () =
+  Golden.check ~golden:"observability.md5" ~prefix:"ck/"
+    (List.map (fun (case, args) -> (case, checkpoint_run args))
+       checkpoint_runs)
+
 (* ----------------------- perf trajectories ------------------------ *)
 
 let traj results =
@@ -493,6 +523,32 @@ let test_perf_roundtrip () =
   Alcotest.(check string) "unit" "ns/run" t'.Perf.p_unit;
   Alcotest.(check (list (pair string (float 0.0))))
     "results sorted" [ ("a.one", 123.0); ("b.two", 2e9) ] t'.Perf.p_results
+
+(* [Perf.load] reads through the shared JSON codec: any layout of the
+   same object loads (CRLF line ends, no blanks), anything else is a
+   [Failure] naming the file. *)
+let test_perf_load_layouts () =
+  let load text =
+    let path = Filename.temp_file "perf" ".json" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Perf.load path)
+  in
+  let t =
+    load
+      "{\r\n\"results\":{\"b\":2,\r\n\"a\":1e3},\"unit\":\"ns/run\",\
+       \"bench\":\"t\"}\r\n"
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "CRLF layout" [ ("a", 1e3); ("b", 2.0) ] t.Perf.p_results;
+  List.iter
+    (fun text ->
+      match load text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Failure _ -> ())
+    [ "{\"bench\":\"t\",\"unit\":\"u\",\"results\":{}}x";
+      "{\"bench\":\"t\",\"unit\":\"u\",\"results\":{\"a\":\"1\"}}";
+      "{\"bench\":\"t\",\"unit\":\"u\"}";
+      "" ]
 
 let test_perf_diff_flags_regression () =
   let old_t = traj [ ("a", 100.0); ("b", 100.0) ] in
@@ -580,7 +636,9 @@ let () =
           Alcotest.test_case "tracer and profiler independent" `Quick
             test_instruments_independent;
           Alcotest.test_case "trace + profile golden" `Quick
-            test_observability_golden ] );
+            test_observability_golden;
+          Alcotest.test_case "checkpoint golden" `Quick
+            test_checkpoint_golden ] );
       ( "serialization",
         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "load_file rejects garbage" `Quick
@@ -591,6 +649,8 @@ let () =
       );
       ( "perf",
         [ Alcotest.test_case "save/load roundtrip" `Quick test_perf_roundtrip;
+          Alcotest.test_case "load: layouts and rejects" `Quick
+            test_perf_load_layouts;
           Alcotest.test_case "diff flags 2x regression" `Quick
             test_perf_diff_flags_regression;
           Alcotest.test_case "diff passes identical" `Quick

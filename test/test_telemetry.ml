@@ -1,8 +1,10 @@
 (* Telemetry tests: the determinism contract (traced runs are
    bit-reproducible and tracing has zero observer effect), exact JSON
-   round-trips, the trace-replay analyzer agreeing with the driver's
-   own accounting, and the checkpoint envelope's guards for both
-   checkpoint kinds. *)
+   round-trips of one event of every kind against a committed golden,
+   the shared JSON reader's strictness and a random round-trip
+   property, the logs rendering following the event table, the
+   trace-replay analyzer agreeing with the driver's own accounting,
+   and the checkpoint envelope's guards for both checkpoint kinds. *)
 module Rng = S2fa_util.Rng
 module Space = S2fa_tuner.Space
 module Driver = S2fa_dse.Driver
@@ -67,9 +69,85 @@ let sample_events =
     T.Serve_complete
       { app = "LR"; request = 99; latency_minutes = 1.25e-7;
         accelerated = false };
+    T.Fault_injected
+      { cfg_key = "tab\there\\back\001ctl"; partition = 2; failure = "crash";
+        lost_minutes = 6.8; attempt = 0 };
+    T.Eval_retry
+      { cfg_key = "a=4"; partition = 2; attempt = 1; backoff_minutes = -0.0 };
+    T.Quarantined
+      { cfg_key = "a=5\nb=6"; partition = 0; attempts = 4;
+        lost_minutes = 5e-324 };
+    T.Core_lost { core = 3; partition = -1 };
+    T.Failover { partition = 5; from_core = 3; to_core = 0 };
+    T.Checkpoint_written
+      { path = "/tmp/k.ck.jsonl"; minutes = 1e300; evals = 123456789012 };
+    T.Serve_shed
+      { app = "KMeans"; request = 7; stage = "dispatch";
+        deadline_minutes = 0.5; estimate_minutes = neg_infinity };
+    T.Serve_timeout
+      { app = "LR"; device = 2; size = 3; waited_minutes = 2.0 /. 3.0 };
+    T.Serve_hedge { app = "LR"; from_device = 2; to_device = 1; size = 3 };
+    T.Serve_breaker
+      { device = 1; from_state = "healthy"; to_state = "half_open" };
+    T.Serve_deadline
+      { app = "KMeans"; request = 7; met = false; slack_minutes = -1e-3 };
+    T.Fed_route
+      { app = "PR"; request = 12; region = 1; cluster = "west";
+        rtt_minutes = 2.0 /. 60000.0 };
+    T.Fed_autoscale
+      { cluster = "east"; action = "lease"; devices = 3; queue_len = 48 };
+    T.Fed_retune
+      { app = "S-W"; epoch = 4; p99_minutes = 0.05; slo_minutes = 1.0 /. 30.0;
+        tune_minutes = 12.75; evals = 30 };
+    T.Fed_promote { app = "S-W"; epoch = 4; cfg = "par_L1=16;pipe_L1=on" };
     T.Run_end { minutes = 239.5; evals = 512; best = 6.5e-4 } ]
   |> List.mapi (fun i kind ->
          { T.e_seq = i; e_minutes = float_of_int i *. 0.5; e_kind = kind })
+
+(* Exhaustive on purpose: a new kind does not compile until it gets a
+   rank here, and [test_samples_cover_every_kind] then needs a sample
+   of it. *)
+let kind_rank = function
+  | T.Run_begin _ -> 0 | T.Run_end _ -> 1 | T.Span_begin _ -> 2
+  | T.Span_end _ -> 3 | T.Eval_start _ -> 4 | T.Eval_done _ -> 5
+  | T.Bandit_select _ -> 6 | T.Partition_start _ -> 7
+  | T.Partition_stop _ -> 8 | T.Entropy_sample _ -> 9
+  | T.Seed_injected _ -> 10 | T.Fault_injected _ -> 11
+  | T.Eval_retry _ -> 12 | T.Quarantined _ -> 13 | T.Core_lost _ -> 14
+  | T.Failover _ -> 15 | T.Checkpoint_written _ -> 16
+  | T.Serve_enqueue _ -> 17 | T.Serve_batch _ -> 18
+  | T.Serve_reconfig _ -> 19 | T.Serve_fallback _ -> 20
+  | T.Serve_complete _ -> 21 | T.Serve_shed _ -> 22
+  | T.Serve_timeout _ -> 23 | T.Serve_hedge _ -> 24
+  | T.Serve_breaker _ -> 25 | T.Serve_deadline _ -> 26
+  | T.Fed_route _ -> 27 | T.Fed_autoscale _ -> 28 | T.Fed_retune _ -> 29
+  | T.Fed_promote _ -> 30
+
+let n_kinds = 31
+
+let test_samples_cover_every_kind () =
+  let seen = List.sort_uniq compare
+      (List.map (fun ev -> kind_rank ev.T.e_kind) sample_events) in
+  Alcotest.(check (list int)) "one sample of every kind"
+    (List.init n_kinds Fun.id) seen
+
+(* [golden/events.jsonl] holds one encoded line per sample: encoding
+   must reproduce it byte for byte and decoding it must give the
+   samples back. *)
+let test_events_golden () =
+  let lines = List.map T.json_of_event sample_events in
+  Golden.check_text ~golden:"events.jsonl"
+    (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let stored =
+    In_channel.with_open_bin (Golden.file "events.jsonl") In_channel.input_lines
+  in
+  Alcotest.(check int) "one line per sample" (List.length sample_events)
+    (List.length stored);
+  List.iter2
+    (fun line ev ->
+      if compare (T.event_of_json line) (Some ev) <> 0 then
+        Alcotest.failf "golden line does not decode to its sample: %s" line)
+    stored sample_events
 
 let test_json_roundtrip () =
   List.iter
@@ -84,12 +162,189 @@ let test_json_roundtrip () =
           Alcotest.failf "round-trip changed the event: %s" line)
     sample_events
 
+(* The logs rendering walks the same table as the encoding: one line
+   per event, the JSON tag, then every JSON key in order as [key=]. *)
+let test_pp_event_follows_table () =
+  List.iter
+    (fun ev ->
+      let text = Format.asprintf "%a" T.pp_event ev in
+      let fields = T.Json.parse_obj (T.json_of_event ev) in
+      let prefix =
+        Printf.sprintf "[%6d] %8.1fm %s" ev.T.e_seq ev.T.e_minutes
+          (T.Json.get_str fields "ev")
+      in
+      if not (String.starts_with ~prefix text) then
+        Alcotest.failf "%S does not start with %S" text prefix;
+      if String.contains text '\n' then Alcotest.failf "%S spans lines" text;
+      let find_from i needle =
+        let n = String.length needle in
+        let rec go i =
+          if i + n > String.length text then
+            Alcotest.failf "%S lacks %S in order" text needle
+          else if String.sub text i n = needle then i + n
+          else go (i + 1)
+        in
+        go i
+      in
+      ignore
+        (List.fold_left
+           (fun i (k, _) ->
+             if List.mem k [ "seq"; "min"; "ev" ] then i
+             else find_from i (" " ^ k ^ "="))
+           (String.length prefix) fields))
+    sample_events
+
 let test_json_rejects_malformed () =
   List.iter
     (fun line ->
       Alcotest.(check bool) ("rejects " ^ line) true
         (T.event_of_json line = None))
     [ ""; "{"; "{}"; "{\"seq\":0}"; "{\"seq\":0,\"min\":1,\"ev\":\"nope\"}" ]
+
+(* The shared reader's strictness, one row per input it must refuse by
+   raising [Json.Bad] and nothing else. *)
+let test_json_reader_strict () =
+  let module J = T.Json in
+  let obj s () = ignore (J.parse_obj s) in
+  let field get s () = ignore (get (J.parse_obj s) "n") in
+  let envelope lines () =
+    match Envelope.of_lines lines with
+    | Ok _ -> ()
+    | Error _ -> raise J.Bad
+  in
+  let rows =
+    [ ("trailing bytes", obj "{\"a\":1}xyz");
+      ("a second object", obj "{\"a\":1}{\"b\":2}");
+      ("bad number 1-2", obj "{\"a\":1-2}");
+      ("bad number 1e", obj "{\"a\":1e}");
+      ("bad number +1", obj "{\"a\":+1}");
+      ("bad number 1.", obj "{\"a\":1.}");
+      ("bad \\u escape", obj "{\"a\":\"\\uZZZZ\"}");
+      ("numeric string in an array", obj "{\"a\":[\"12\"]}");
+      ("get_int of 1.5", field J.get_int "{\"n\":1.5}");
+      ("get_int of inf", field J.get_int "{\"n\":\"inf\"}");
+      ("get_int of -inf", field J.get_int "{\"n\":\"-inf\"}");
+      ("get_int of nan", field J.get_int "{\"n\":\"nan\"}");
+      ("get_int of 1e300", field J.get_int "{\"n\":1e300}");
+      ("get_float of \"12\"", field J.get_float "{\"n\":\"12\"}");
+      ("get_float of \"Infinity\"", field J.get_float "{\"n\":\"Infinity\"}");
+      ( "fractional envelope count",
+        envelope [ "{\"ck\":\"header\"}"; "{\"ck\":\"end\",\"lines\":1.9}" ] ) ]
+  in
+  let wrong =
+    List.filter_map
+      (fun (what, f) ->
+        match f () with
+        | () -> Some (what ^ ": accepted")
+        | exception J.Bad -> None
+        | exception e -> Some (what ^ ": raised " ^ Printexc.to_string e))
+      rows
+  in
+  Alcotest.(check (list string)) "rows not refused with Bad" [] wrong
+
+(* Random values through the codec and back: nested objects, strings of
+   arbitrary bytes (quotes, backslashes, control characters), nan, ±inf,
+   -0.0 and subnormals, and the same object re-rendered with random
+   multi-line whitespace between its tokens. Floats must come back bit
+   for bit, so -0.0 is checked on its bits, not with [compare]. A
+   non-finite field value is written as a quoted string and so reads
+   back as [Jstr] ([get_float] takes it); inside an array it reads back
+   as a float. *)
+let json_roundtrip_prop =
+  let module J = T.Json in
+  let open QCheck.Gen in
+  let gen_float =
+    oneof
+      [ float;
+        oneofl
+          [ nan; infinity; neg_infinity; -0.0; 0.0; 5e-324; -5e-324;
+            2.2250738585072009e-308; max_float; 1e17; 0.1 +. 0.2 ] ]
+  in
+  let gen_string =
+    oneof
+      [ string_size ~gen:char (int_bound 8);
+        oneofl [ ""; "\""; "\\"; "\\\""; "a\nb\r\tc"; "\001\031\127"; "inf" ] ]
+  in
+  let gen_v =
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let atom =
+             oneof
+               [ map (fun s -> J.Jstr s) gen_string;
+                 map (fun f -> J.Jnum f) gen_float;
+                 map (fun b -> J.Jbool b) bool;
+                 map (fun l -> J.Jarr l) (list_size (int_bound 4) gen_float) ]
+           in
+           if n = 0 then atom
+           else
+             frequency
+               [ (3, atom);
+                 ( 1,
+                   map (fun fs -> J.Jobj fs)
+                     (list_size (int_bound 4) (pair gen_string (self (n - 1)))) ) ])
+  in
+  let gen_fields = list_size (int_bound 5) (pair gen_string gen_v) in
+  let blank = oneofl [ ""; " "; "\t"; "\n"; "\r\n"; " \n\t " ] in
+  let same_float x y =
+    (Float.is_nan x && Float.is_nan y)
+    || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  let rec same a b =
+    match (a, b) with
+    | J.Jnum x, J.Jnum y -> same_float x y
+    | J.Jarr xs, J.Jarr ys ->
+      List.length xs = List.length ys && List.for_all2 same_float xs ys
+    | J.Jobj xs, J.Jobj ys -> same_fields xs ys
+    | a, b -> compare a b = 0
+  and same_fields xs ys =
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, a) (k', b) -> k = k' && same a b) xs ys
+  in
+  let rec canon = function
+    | J.Jnum f when not (Float.is_finite f) ->
+      J.Jstr (String.sub (J.fstr f) 1 (String.length (J.fstr f) - 2))
+    | J.Jobj fs -> J.Jobj (List.map (fun (k, v) -> (k, canon v)) fs)
+    | v -> v
+  in
+  (* The whitespace layout is drawn from [seed], one blank per gap. *)
+  let spaced seed fields =
+    let st = Random.State.make [| seed |] in
+    let ws () = generate1 ~rand:st blank in
+    let rec value = function
+      | J.Jstr s -> J.quote s
+      | J.Jnum f -> J.fstr f
+      | J.Jint i -> string_of_int i
+      | J.Jbool b -> string_of_bool b
+      | J.Jarr l ->
+        "[" ^ ws () ^ String.concat (ws () ^ "," ^ ws ()) (List.map J.fstr l)
+        ^ ws () ^ "]"
+      | J.Jobj fs ->
+        "{" ^ ws ()
+        ^ String.concat ("," ^ ws ())
+            (List.map
+               (fun (k, v) -> J.quote k ^ ws () ^ ":" ^ ws () ^ value v ^ ws ())
+               fs)
+        ^ "}"
+    in
+    ws () ^ value (J.Jobj fields) ^ ws ()
+  in
+  let print (fields, seed, i) =
+    Printf.sprintf "%s (seed %d, int %d)" (J.obj fields) seed i
+  in
+  QCheck.Test.make ~name:"json codec round-trips random values" ~count:500
+    (QCheck.make ~print (triple gen_fields int int))
+    (fun (fields, seed, i) ->
+      let want = List.map (fun (k, v) -> (k, canon v)) fields in
+      let back s =
+        let got = J.parse_obj s in
+        compare got want = 0 && same_fields got want
+      in
+      let i = i asr 9 (* within 2^53, where [get_int] reads exactly *) in
+      let int_line = J.obj [ ("n", J.Jint i) ] in
+      back (J.obj fields)
+      && back (spaced seed fields)
+      && int_line = "{\"n\":" ^ string_of_int i ^ "}"
+      && J.get_int (J.parse_obj int_line) "n" = i)
 
 let test_stage_and_reason_names () =
   (* Stage brackets carry the stage name as a string; the JSON key stays
@@ -471,8 +726,16 @@ let () =
   Alcotest.run "telemetry"
     [ ( "events",
         [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "samples cover every kind" `Quick
+            test_samples_cover_every_kind;
+          Alcotest.test_case "events golden" `Quick test_events_golden;
+          Alcotest.test_case "logs rendering follows the table" `Quick
+            test_pp_event_follows_table;
           Alcotest.test_case "rejects malformed" `Quick
             test_json_rejects_malformed;
+          Alcotest.test_case "json reader is strict" `Quick
+            test_json_reader_strict;
+          QCheck_alcotest.to_alcotest json_roundtrip_prop;
           Alcotest.test_case "stage/reason names" `Quick
             test_stage_and_reason_names ] );
       ( "tracer",
