@@ -300,7 +300,7 @@ let fig4 () =
       let fields = w.W.w_fields rng in
       let sample_n = min 128 w.W.w_tasks in
       let sample = w.W.w_gen rng sample_n in
-      let jvm = Blaze.map_jvm c.S2fa.c_class ~fields sample in
+      let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields) sample in
       let jvm_total =
         jvm.Blaze.tr_seconds /. float_of_int sample_n
         *. float_of_int w.W.w_tasks
@@ -1079,8 +1079,9 @@ let value_path () =
           @ Serde.alloc_outputs iface batch
           @ Serde.field_buffers iface fields
         in
+        let jvm = S2fa.jvm_program c ~fields in
         let layers =
-          [ ("jvm", fun () -> ignore (Blaze.map_jvm c.S2fa.c_class ~fields tasks));
+          [ ("jvm", fun () -> ignore (Blaze.map_jvm jvm tasks));
             ("serde", fun () -> ignore (serde ()));
             ( "cinterp",
               fun () ->

@@ -680,7 +680,7 @@ let speedup_cmd =
     let fields = w.W.w_fields rng in
     let sample_n = min 128 tasks in
     let sample = w.W.w_gen rng sample_n in
-    let jvm = Blaze.map_jvm c.S2fa.c_class ~fields sample in
+    let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields) sample in
     let jvm_total =
       jvm.Blaze.tr_seconds /. float_of_int sample_n *. float_of_int tasks
     in

@@ -60,10 +60,11 @@ let () =
 
   (* JVM baseline: the same map on a single-threaded executor. *)
   let jvm_seconds = ref 0.0 in
+  let jvm = S2fa.jvm_program c ~fields:[] in
   let baseline =
     Rdd.map_partitions
       (fun part ->
-        let r = Blaze.map_jvm c.S2fa.c_class ~fields:[] part in
+        let r = Blaze.map_jvm jvm part in
         jvm_seconds := !jvm_seconds +. r.Blaze.tr_seconds;
         r.Blaze.tr_values)
       pairs

@@ -1,5 +1,7 @@
 module Ast = S2fa_scala.Ast
 module Insn = S2fa_jvm.Insn
+module Cfg = S2fa_jvm.Cfg
+module Tree = S2fa_jvm.Tree
 module Csyntax = S2fa_hlsc.Csyntax
 open Csyntax
 
@@ -285,8 +287,7 @@ let cname_of_slots (m : Insn.methd) =
 let declare ctx name t =
   if not (Hashtbl.mem ctx.decls name) then Hashtbl.replace ctx.decls name t
 
-(* Execute the instructions of one basic block symbolically.
-   Returns the emitted statements and the terminator. *)
+(* How a basic block ends. *)
 type terminator =
   | TFall of int                       (* next block id *)
   | TCond of cexpr * int * int         (* cond, then(fall), else(jump) *)
@@ -302,187 +303,185 @@ let zero_init_loop name elem n =
              | CFloat | CDouble -> EDouble 0.0
              | _ -> EInt 0 ) ])
 
+(* Map a callee's arguments to C, forwarding the fields the callee
+   (transitively) reads: they are parameters in every decompiled
+   function, including here. *)
+let call_of ctx name args =
+  let exprs =
+    List.map
+      (function
+        | SE (e, _) -> e
+        | SArr _ | STup _ ->
+          err "helper methods with aggregate parameters are not supported")
+      args
+  in
+  match Insn.find_jmethod ctx.cls name with
+  | None -> err "invoke of unknown method %s" name
+  | Some m ->
+    let extra =
+      List.map
+        (fun f -> EVar ("f_" ^ f))
+        (Option.value ~default:[] (List.assoc_opt name ctx.meth_fields))
+    in
+    (ECall (name, exprs @ extra), m)
+
+(* Map one basic block's trees ({!Tree}) to C. A spill binds its
+   temporary to the symbolic value and emits nothing. Returns the emitted
+   statements and the terminator. *)
 let exec_block ctx bid : cstmt list * terminator =
   let b = ctx.cfg.Cfg.blocks.(bid) in
   let code = ctx.meth.Insn.jcode in
-  let stack = ref [] in
+  let tb = Tree.of_block ctx.cls code ~first:b.Cfg.first ~last:b.Cfg.last in
+  let temps = Array.make tb.Tree.temps (STup []) in
   let out = ref [] in
   let emit s = out := s :: !out in
-  let push v = stack := v :: !stack in
-  let pop () =
-    match !stack with
-    | v :: rest ->
-      stack := rest;
-      v
-    | [] -> err "symbolic stack underflow in %s" ctx.meth.Insn.jname
-  in
   let gid () =
     match ctx.gid with Some g -> g | None -> EInt 0
   in
-  let term = ref None in
-  let pc = ref b.Cfg.first in
-  while !term = None && !pc <= b.Cfg.last do
-    let next_is_store () =
-      !pc + 1 <= b.Cfg.last
-      && match code.(!pc + 1) with Insn.Store _ -> true | _ -> false
-    in
-    (match code.(!pc) with
-    | Insn.Ldc (Ast.LInt n) -> push (SE (EInt n, CInt))
-    | Insn.Ldc (Ast.LLong n) -> push (SE (ELong n, CLong))
-    | Insn.Ldc (Ast.LFloat f) -> push (SE (EFloat f, CFloat))
-    | Insn.Ldc (Ast.LDouble f) -> push (SE (EDouble f, CDouble))
-    | Insn.Ldc (Ast.LBool bv) -> push (SE (EBool bv, CInt))
-    | Insn.Ldc (Ast.LChar c) -> push (SE (EChar c, CChar))
-    | Insn.Ldc (Ast.LString _) -> err "string literals are not supported in kernels"
-    | Insn.Ldc Ast.LUnit -> push (SE (EInt 0, CInt))
-    | Insn.Load s -> (
+  (* Operands map left to right, the order their instructions ran. *)
+  let rec sym ?name = function
+    | Tree.Temp t -> temps.(t)
+    | Tree.Op (pc, args) -> op ?name pc (List.map (fun a -> sym a) args)
+  (* [name]: the slot a [NewArr] is stored to directly, which names it. *)
+  and op ?name pc args =
+    match (code.(pc), args) with
+    | Insn.Ldc (Ast.LInt n), [] -> SE (EInt n, CInt)
+    | Insn.Ldc (Ast.LLong n), [] -> SE (ELong n, CLong)
+    | Insn.Ldc (Ast.LFloat f), [] -> SE (EFloat f, CFloat)
+    | Insn.Ldc (Ast.LDouble f), [] -> SE (EDouble f, CDouble)
+    | Insn.Ldc (Ast.LBool bv), [] -> SE (EBool bv, CInt)
+    | Insn.Ldc (Ast.LChar c), [] -> SE (EChar c, CChar)
+    | Insn.Ldc (Ast.LString _), [] ->
+      err "string literals are not supported in kernels"
+    | Insn.Ldc Ast.LUnit, [] -> SE (EInt 0, CInt)
+    | Insn.Load s, [] -> (
       match ctx.slots.(s) with
-      | Some v -> push v
+      | Some v -> v
       | None -> err "%s: load of undefined slot %d" ctx.meth.Insn.jname s)
-    | Insn.Store s -> (
-      let v = pop () in
-      match v with
-      | SE (e, t) ->
-        let name = ctx.slot_cnames.(s) in
-        declare ctx name t;
-        emit (SAssign (EVar name, e));
-        ctx.slots.(s) <- Some (SE (EVar name, t))
-      | SArr _ | STup _ -> ctx.slots.(s) <- Some v)
-    | Insn.ALoad -> (
-      let idx = sym_expr (pop ()) in
-      match pop () with
-      | SArr a -> push (SE (index_of_arr (gid ()) a idx, arr_elem a))
+    | Insn.ALoad, [ a; i ] -> (
+      let idx = sym_expr i in
+      match a with
+      | SArr a -> SE (index_of_arr (gid ()) a idx, arr_elem a)
       | SE _ | STup _ -> err "aload on non-array")
-    | Insn.AStore -> (
-      let v = sym_expr (pop ()) in
-      let idx = sym_expr (pop ()) in
-      match pop () with
-      | SArr a -> emit (SAssign (index_of_arr (gid ()) a idx, v))
-      | SE _ | STup _ -> err "astore on non-array")
-    | Insn.ArrayLength -> (
-      match pop () with
-      | SArr a -> push (SE (EInt (arr_len a), CInt))
+    | Insn.ArrayLength, [ a ] -> (
+      match a with
+      | SArr a -> SE (EInt (arr_len a), CInt)
       | SE _ | STup _ -> err "arraylength on non-array")
-    | Insn.NewArr (elem_ty, dims) -> (
+    | Insn.NewArr (elem_ty, dims), [] -> (
       match dims with
       | [ n ] ->
         let elem = cty_of_ty elem_ty in
         let name =
-          if next_is_store () then begin
-            match code.(!pc + 1) with
-            | Insn.Store s -> ctx.slot_cnames.(s)
-            | _ -> assert false
-          end
-          else begin
+          match name with
+          | Some name -> name
+          | None ->
             ctx.arr_counter <- ctx.arr_counter + 1;
             Printf.sprintf "arr%d" ctx.arr_counter
-          end
         in
         if not (List.exists (fun (n', _, _) -> String.equal n' name) ctx.arr_decls)
         then ctx.arr_decls <- (name, elem, n) :: ctx.arr_decls;
         emit (zero_init_loop name elem n);
-        push (SArr (ALocal (name, elem, n)))
+        SArr (ALocal (name, elem, n))
       | _ -> err "only one-dimensional local arrays are supported (got %dD)"
                (List.length dims))
-    | Insn.NewTup n ->
-      let vals = List.init n (fun _ -> pop ()) in
-      push (STup (List.rev vals))
-    | Insn.TupGet i -> (
-      match pop () with
-      | STup l when i < List.length l -> push (List.nth l i)
+    | Insn.NewTup _, vals -> STup vals
+    | Insn.TupGet i, [ t ] -> (
+      match t with
+      | STup l when i < List.length l -> List.nth l i
       | STup _ -> err "tuple component out of range"
       | SE _ | SArr _ -> err "tupget on non-tuple")
-    | Insn.GetField f -> (
+    | Insn.GetField f, [] -> (
       let pname = "f_" ^ f in
       match List.assoc_opt f ctx.cls.Insn.jfields with
       | None -> err "unknown field %s" f
       | Some (Ast.TArray inner) ->
         let cap = Option.value ~default:64 (List.assoc_opt f ctx.fcaps) in
-        push (SArr (AIface (pname, cty_of_ty inner, cap, false)))
+        SArr (AIface (pname, cty_of_ty inner, cap, false))
       | Some (Ast.TTuple _) -> err "tuple-typed fields are not supported"
-      | Some t -> push (SE (EVar pname, cty_of_ty t)))
-    | Insn.Bin (ty, op) ->
-      let rb = sym_expr (pop ()) in
-      let ra = sym_expr (pop ()) in
-      push (SE (EBin (cbinop_of op, ra, rb), cty_of_ty ty))
-    | Insn.Un (ty, op) ->
-      let ra = sym_expr (pop ()) in
+      | Some t -> SE (EVar pname, cty_of_ty t))
+    | Insn.Bin (ty, op), [ a; b ] ->
+      let rb = sym_expr b in
+      let ra = sym_expr a in
+      SE (EBin (cbinop_of op, ra, rb), cty_of_ty ty)
+    | Insn.Un (ty, op), [ a ] ->
+      let ra = sym_expr a in
       let e =
         match op with
         | Ast.Neg -> EUn (CNeg, ra)
         | Ast.Not -> EUn (CNot, ra)
         | Ast.BNot -> EUn (CBNot, ra)
       in
-      push (SE (e, cty_of_ty ty))
-    | Insn.Conv (from_ty, to_ty) ->
-      let ra = sym_expr (pop ()) in
+      SE (e, cty_of_ty ty)
+    | Insn.Conv (from_ty, to_ty), [ a ] ->
+      let ra = sym_expr a in
       let ct = cty_of_ty to_ty in
-      if cty_of_ty from_ty = ct then push (SE (ra, ct))
-      else push (SE (ECast (ct, ra), ct))
-    | Insn.MathOp f ->
-      let n = Insn.math_arity f in
-      let args = List.rev (List.init n (fun _ -> pop ())) in
-      push (math_call f args)
-    | Insn.Invoke (name, n) -> (
-      let args = List.rev (List.init n (fun _ -> pop ())) in
-      let exprs =
-        List.map
-          (fun a ->
-            match a with
-            | SE (e, _) -> e
-            | SArr _ | STup _ ->
-              err "helper methods with aggregate parameters are not supported")
-          args
-      in
-      match Insn.find_jmethod ctx.cls name with
-      | None -> err "invoke of unknown method %s" name
-      | Some m ->
-        (* Forward the fields the callee (transitively) reads: they are
-           parameters in every decompiled function, including here. *)
-        let extra =
-          List.map
-            (fun f -> EVar ("f_" ^ f))
-            (Option.value ~default:[]
-               (List.assoc_opt name ctx.meth_fields))
-        in
-        let call_e = ECall (name, exprs @ extra) in
-        if Ast.equal_ty m.Insn.jret Ast.TUnit then emit (SExpr call_e)
-        else push (SE (call_e, cty_of_ty m.Insn.jret)))
-    | Insn.CmpJmp (_, c, l) ->
-      let rb = sym_expr (pop ()) in
-      let ra = sym_expr (pop ()) in
-      let jump_cond = cexpr_of_cond c ra rb in
-      let bt = ctx.cfg.Cfg.block_of_pc.(!pc + 1) in
-      let bf = ctx.cfg.Cfg.block_of_pc.(l) in
-      term := Some (TCond (negate_cexpr jump_cond, bt, bf))
-    | Insn.IfFalse l ->
-      let c = sym_expr (pop ()) in
-      let bt = ctx.cfg.Cfg.block_of_pc.(!pc + 1) in
-      let bf = ctx.cfg.Cfg.block_of_pc.(l) in
-      term := Some (TCond (c, bt, bf))
-    | Insn.Goto l -> term := Some (TFall ctx.cfg.Cfg.block_of_pc.(l))
-    | Insn.Ret -> term := Some (TRet (Some (pop ())))
-    | Insn.RetVoid -> term := Some (TRet None)
-    | Insn.Dup ->
-      let v = pop () in
-      push v;
-      push v
-    | Insn.Pop ->
-      let v = pop () in
-      (match v with
-      | SE (e, _) when contains_user_call ctx.helper_names e -> emit (SExpr e)
-      | _ -> ()));
-    incr pc
-  done;
+      if cty_of_ty from_ty = ct then SE (ra, ct) else SE (ECast (ct, ra), ct)
+    | Insn.MathOp f, args -> math_call f args
+    | Insn.Invoke (name, _), args ->
+      let call_e, m = call_of ctx name args in
+      SE (call_e, cty_of_ty m.Insn.jret)
+    | Insn.Dup, [ v ] -> v
+    | ins, _ ->
+      err "%s: %s is not an expression" ctx.meth.Insn.jname
+        (Format.asprintf "%a" Insn.pp_insn ins)
+  in
+  List.iter
+    (function
+      | Tree.Bind (t, e) -> temps.(t) <- sym e
+      | Tree.Effect (pc, args) -> (
+        match (code.(pc), args) with
+        | Insn.Store s, [ e ] -> (
+          let name = ctx.slot_cnames.(s) in
+          match sym ~name e with
+          | SE (e, t) ->
+            declare ctx name t;
+            emit (SAssign (EVar name, e));
+            ctx.slots.(s) <- Some (SE (EVar name, t))
+          | (SArr _ | STup _) as v -> ctx.slots.(s) <- Some v)
+        | Insn.AStore, [ a; i; v ] -> (
+          let a = sym a in
+          let i = sym i in
+          let v = sym_expr (sym v) in
+          let idx = sym_expr i in
+          match a with
+          | SArr a -> emit (SAssign (index_of_arr (gid ()) a idx, v))
+          | SE _ | STup _ -> err "astore on non-array")
+        | Insn.Pop, [ e ] -> (
+          match sym e with
+          | SE (e, _) when contains_user_call ctx.helper_names e ->
+            emit (SExpr e)
+          | _ -> ())
+        | Insn.Invoke (name, _), args ->
+          emit (SExpr (fst (call_of ctx name (List.map (fun a -> sym a) args))))
+        | ins, _ ->
+          err "%s: %s is not a statement" ctx.meth.Insn.jname
+            (Format.asprintf "%a" Insn.pp_insn ins)))
+    tb.Tree.stmts;
   let terminator =
-    match !term with
-    | Some t -> t
-    | None ->
-      (* Fell through the end of the block. *)
-      (match ctx.cfg.Cfg.blocks.(bid).Cfg.succs with
+    match tb.Tree.exit with
+    | Tree.Fall -> (
+      match b.Cfg.succs with
       | [ s ] -> TFall s
       | _ -> err "block %d without terminator has %d successors" bid
-               (List.length ctx.cfg.Cfg.blocks.(bid).Cfg.succs))
+               (List.length b.Cfg.succs))
+    | Tree.Underflow _ ->
+      err "symbolic stack underflow in %s" ctx.meth.Insn.jname
+    | Tree.Branch (pc, args) -> (
+      let block_of l = ctx.cfg.Cfg.block_of_pc.(l) in
+      match (code.(pc), List.map (fun a -> sym a) args) with
+      | Insn.CmpJmp (_, c, l), [ a; b ] ->
+        let rb = sym_expr b in
+        let ra = sym_expr a in
+        TCond (negate_cexpr (cexpr_of_cond c ra rb), block_of (pc + 1),
+               block_of l)
+      | Insn.IfFalse l, [ c ] ->
+        TCond (sym_expr c, block_of (pc + 1), block_of l)
+      | Insn.Goto l, [] -> TFall (block_of l)
+      | Insn.Ret, [ v ] -> TRet (Some v)
+      | Insn.RetVoid, [] -> TRet None
+      | ins, _ ->
+        err "%s: %s is not a terminator" ctx.meth.Insn.jname
+          (Format.asprintf "%a" Insn.pp_insn ins))
   in
   (List.rev !out, terminator)
 

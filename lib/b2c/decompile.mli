@@ -5,12 +5,13 @@ module Csyntax = S2fa_hlsc.Csyntax
 
     Decompilation recovers structured C from stack-machine bytecode:
 
-    + build the CFG and its (post)dominator trees ({!Cfg});
+    + build the CFG and its (post)dominator trees ({!S2fa_jvm.Cfg});
     + walk the graph recursively, turning natural loops into [while]
       loops and two-way branches into [if]/[else] regions bounded by the
       immediate postdominator;
-    + inside each basic block, symbolically execute the operand stack to
-      rebuild expressions, emitting a C statement at every store;
+    + map each basic block's expression trees ({!S2fa_jvm.Tree}, the
+      pass the bytecode interpreter compiles too) to C expressions,
+      emitting a C statement at every store;
     + flatten object-typed values: tuples become one C buffer per
       component, [this] fields become extra kernel arguments, and the
       returned value is written through [out_*] interface buffers

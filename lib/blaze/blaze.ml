@@ -125,13 +125,12 @@ let reduce_accelerated m ~id tasks =
       (fun outputs ->
         [| Serde.deserialize_output a.acc_iface a.acc_output_ty outputs 0 |])
 
-let map_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
-  let inst = { Interp.icls = cls; ifields = fields } in
+let map_jvm prog tasks =
   let cycles = ref 0.0 in
   let values =
     Array.map
       (fun task ->
-        let r = Interp.run_method ~cost inst "call" [ task ] in
+        let r = Interp.run prog "call" [ task ] in
         cycles := !cycles +. r.Interp.rcycles;
         r.Interp.rvalue)
       tasks
@@ -145,16 +144,12 @@ let map_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
     tr_seconds = seconds;
     tr_detail = [ ("jvm", seconds) ] }
 
-let reduce_jvm ?(cost = Interp.default_cost_model) cls ~fields tasks =
+let reduce_jvm prog tasks =
   if Array.length tasks = 0 then err "reduce of an empty batch";
-  let inst = { Interp.icls = cls; ifields = fields } in
   let cycles = ref 0.0 in
   let acc = ref tasks.(0) in
   for i = 1 to Array.length tasks - 1 do
-    let r =
-      Interp.run_method ~cost inst "call"
-        [ Interp.VTuple [| !acc; tasks.(i) |] ]
-    in
+    let r = Interp.run prog "call" [ Interp.VTuple [| !acc; tasks.(i) |] ] in
     cycles := !cycles +. r.Interp.rcycles;
     acc := r.Interp.rvalue
   done;

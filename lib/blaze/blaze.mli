@@ -1,5 +1,4 @@
 module Ast = S2fa_scala.Ast
-module Insn = S2fa_jvm.Insn
 module Interp = S2fa_jvm.Interp
 module Cinterp = S2fa_hlsc.Cinterp
 module Csyntax = S2fa_hlsc.Csyntax
@@ -71,22 +70,13 @@ val reduce_accelerated :
     combined value. Raises {!Blaze_error} on an empty batch, an unknown
     id, or a map-operator accelerator. *)
 
-val map_jvm :
-  ?cost:Interp.cost_model ->
-  Insn.cls ->
-  fields:(string * Interp.value) list ->
-  Interp.value array ->
-  timed_result
-(** The baseline: execute [call] per task on the bytecode interpreter,
-    timing a single-threaded Spark executor (3 GHz core, modeled
-    per-instruction costs). *)
+val map_jvm : Interp.program -> Interp.value array -> timed_result
+(** The baseline: execute [call] per task on the bytecode interpreter
+    (the kernel class loaded with its fields, {!Interp.load}), timing a
+    single-threaded Spark executor (3 GHz core, modeled per-instruction
+    costs). *)
 
-val reduce_jvm :
-  ?cost:Interp.cost_model ->
-  Insn.cls ->
-  fields:(string * Interp.value) list ->
-  Interp.value array ->
-  timed_result
+val reduce_jvm : Interp.program -> Interp.value array -> timed_result
 (** The JVM baseline of the reduce operator: a left fold of the batch
     through [call] on the bytecode interpreter. *)
 

@@ -184,12 +184,16 @@ let make_accelerator ?design c ~fields =
     acc_buffer_elems = c.c_buffer_elems;
     acc_compiled = S2fa_hlsc.Cinterp.compile prog }
 
+let jvm_program c ~fields =
+  Interp.load { Interp.icls = c.c_class; ifields = fields }
+
 let serve_app ?design ?(weight = 1.0) ?(batch = 16) ?(queue_cap = 64) ~name
     ~fields c =
   { S2fa_fleet.Fleet.ap_name = name;
     ap_accel = make_accelerator ?design c ~fields;
     ap_cls = c.c_class;
     ap_fields = fields;
+    ap_jvm = jvm_program c ~fields;
     ap_weight = weight;
     ap_batch = batch;
     ap_queue_cap = queue_cap }

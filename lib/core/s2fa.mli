@@ -119,6 +119,11 @@ val make_accelerator :
     compiled once for the C interpreter; its id is the class's [id]
     constant (falling back to the class name). *)
 
+val jvm_program :
+  compiled -> fields:(string * Interp.value) list -> Interp.program
+(** The kernel class loaded for the JVM baseline ({!Interp.load}, default
+    cost model): what {!S2fa_blaze.Blaze.map_jvm} runs. *)
+
 val serve_app :
   ?design:Space.cfg ->
   ?weight:float ->
@@ -130,9 +135,9 @@ val serve_app :
   S2fa_fleet.Fleet.app
 (** Package the compiled kernel as one tenant of a serving pool
     ({!S2fa_fleet.Fleet.serve}): the accelerator from
-    {!make_accelerator} plus the bytecode class and field bindings the
-    JVM-fallback path replays. Defaults: weight 1, batch 16, queue
-    capacity 64. *)
+    {!make_accelerator} plus the bytecode class, its field bindings and
+    the {!jvm_program} the JVM-fallback path runs, loaded once here.
+    Defaults: weight 1, batch 16, queue capacity 64. *)
 
 val emit_c : ?design:Space.cfg -> compiled -> string
 (** Pretty-print the generated HLS C (for the display program, the

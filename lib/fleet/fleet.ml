@@ -26,6 +26,7 @@ type app = {
   ap_accel : Blaze.accel;
   ap_cls : Insn.cls;
   ap_fields : (string * Interp.value) list;
+  ap_jvm : Interp.program;
   ap_weight : float;
   ap_batch : int;
   ap_queue_cap : int;
@@ -564,7 +565,7 @@ let make_sim_impl ~opts ?trace ?faults ?checkpoint ?validate
     Obs.span "fleet.fallback" @@ fun () ->
     Obs.count "fleet.fallbacks";
     let a = apps.(r.rq_app) in
-    let tr = Blaze.map_jvm a.ap_cls ~fields:a.ap_fields [| r.rq_payload |] in
+    let tr = Blaze.map_jvm a.ap_jvm [| r.rq_payload |] in
     incr fallbacks;
     clocked
       (Telemetry.Serve_fallback

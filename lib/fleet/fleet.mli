@@ -61,8 +61,11 @@ exception Fleet_error of string
 type app = {
   ap_name : string;
   ap_accel : S2fa_blaze.Blaze.accel;
-  ap_cls : S2fa_jvm.Insn.cls;       (** For the JVM fallback path. *)
+  ap_cls : S2fa_jvm.Insn.cls;
   ap_fields : (string * S2fa_jvm.Interp.value) list;
+  ap_jvm : S2fa_jvm.Interp.program;
+      (** [ap_cls] loaded with [ap_fields] once, for the JVM fallback
+          path. *)
   ap_weight : float;                (** Fair-share weight (> 0, finite). *)
   ap_batch : int;                   (** Max requests per invocation. *)
   ap_queue_cap : int;               (** Bound before overflow-to-JVM. *)

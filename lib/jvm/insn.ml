@@ -55,6 +55,22 @@ let math_arity = function
 let find_jmethod cls name =
   List.find_opt (fun m -> String.equal m.jname name) cls.jmethods
 
+let stack_effect cls = function
+  | Ldc _ | Load _ | NewArr _ | GetField _ -> (0, 1)
+  | Store _ | IfFalse _ | Ret | Pop -> (1, 0)
+  | ALoad | Bin _ -> (2, 1)
+  | AStore -> (3, 0)
+  | ArrayLength | TupGet _ | Un _ | Conv _ -> (1, 1)
+  | NewTup n -> (n, 1)
+  | MathOp f -> (math_arity f, 1)
+  | Invoke (name, n) -> (
+    match find_jmethod cls name with
+    | Some m when not (Ast.equal_ty m.jret Ast.TUnit) -> (n, 1)
+    | Some _ | None -> (n, 0))
+  | CmpJmp _ -> (2, 0)
+  | Goto _ | RetVoid -> (0, 0)
+  | Dup -> (1, 2)
+
 let string_of_lit = function
   | Ast.LInt n -> string_of_int n
   | Ast.LLong n -> Int64.to_string n ^ "L"

@@ -70,6 +70,10 @@ val math_arity : string -> int
 
 val find_jmethod : cls -> string -> methd option
 
+val stack_effect : cls -> insn -> int * int
+(** [(pops, pushes)] of an instruction. An invoke pushes a value unless
+    its callee returns [Unit] or is not a method of the class. *)
+
 val pp_insn : Format.formatter -> insn -> unit
 (** Disassembly-style rendering, e.g. ["cmpjmp Int < -> 12"]. *)
 

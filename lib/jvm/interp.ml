@@ -252,6 +252,16 @@ let eval_bin ty op a b =
   | Ast.TDouble -> VDouble (float_binop op (as_float a) (as_float b))
   | t -> err "binop on type %s" (Ast.string_of_ty t)
 
+let eval_un ty op a =
+  match (op, ty) with
+  | Ast.Neg, Ast.TFloat -> VFloat (-.as_float a)
+  | Ast.Neg, Ast.TDouble -> VDouble (-.as_float a)
+  | Ast.Neg, Ast.TLong -> VLong (Int64.neg (as_long a))
+  | Ast.Neg, _ -> VInt (-as_int a)
+  | Ast.Not, _ -> VBool (not (as_bool a))
+  | Ast.BNot, Ast.TLong -> VLong (Int64.lognot (as_long a))
+  | Ast.BNot, _ -> VInt (lnot (as_int a))
+
 let compare_values ty cond a b =
   let c =
     match ty with
@@ -315,21 +325,22 @@ let math1 f : value -> value =
 let math2 f : value -> value -> value =
   match f with
   | "pow" -> fun x y -> VDouble (Float.pow (as_float x) (as_float y))
+  (* An Int or Long result is one of the operands' own boxes. *)
   | "min" -> (
     fun a b ->
       match (a, b) with
-      | VInt a, VInt b -> VInt (min a b)
-      | VLong a, VLong b -> VLong (if Int64.compare a b <= 0 then a else b)
+      | VInt x, VInt y -> if x <= y then a else b
+      | VLong x, VLong y -> if Int64.compare x y <= 0 then a else b
       | a, b -> VDouble (min (as_float a) (as_float b)))
   | "max" -> (
     fun a b ->
       match (a, b) with
-      | VInt a, VInt b -> VInt (max a b)
-      | VLong a, VLong b -> VLong (if Int64.compare a b >= 0 then a else b)
+      | VInt x, VInt y -> if x >= y then a else b
+      | VLong x, VLong y -> if Int64.compare x y >= 0 then a else b
       | a, b -> VDouble (max (as_float a) (as_float b)))
   | f -> fun _ _ -> err "math.%s: bad arguments" f
 
-(* ---------- decoding ---------- *)
+(* ---------- costs ---------- *)
 
 let insn_cost cm = function
   | Insn.Ldc _ -> cm.c_const
@@ -357,140 +368,97 @@ let insn_cost cm = function
   | Insn.Ret | Insn.RetVoid -> cm.c_branch
   | Insn.Dup | Insn.Pop -> cm.c_local
 
-(* An instruction resolved against its class and instance: callees are
-   method indices, fields are their values, constants are pre-boxed,
-   and Int arithmetic and compares have their own cases. *)
-type op =
-  | OConst of value
-  | OString of string  (* a fresh array per execution, like [value_of_lit] *)
-  | OLoad of int
-  | OStore of int
-  | OBadSlot  (* a slot outside the frame, as unverified code may name *)
-  | OALoad
-  | OAStore
-  | OArrayLength
-  | ONewArr of Ast.ty * int list
-  | ONewTup of int
-  | OTupGet of int
-  | OField of value
-  | ONoField of string
-  | OIntBin of Ast.binop  (* Int, Char and Boolean operands *)
-  | OBin of Ast.ty * Ast.binop
-  | OUn of Ast.ty * Ast.unop
-  | OConv of Ast.ty
-  | OMath1 of (value -> value)
-  | OMath2 of (value -> value -> value)
-  | OInvoke of int * string * int  (* callee index, or -1 if none; name; argc *)
-  | OIntCmpJmp of Insn.cond * int
-  | OCmpJmp of Ast.ty * Insn.cond * int
-  | OIfFalse of int
-  | OGoto of int
-  | ORet
-  | ORetVoid
-  | ODup
-  | OPop
+(* ---------- compilation ---------- *)
 
-type dmethod = {
-  d_name : string;
-  d_argc : int;
-  d_slots : int;  (* frame size, at least 1 *)
-  d_code : op array;
-  d_cost : float array;  (* cycles of each pc under the run's cost model *)
-}
-
-let decode cost inst =
-  let methods = Array.of_list inst.icls.Insn.jmethods in
-  let index name =
-    let rec go i =
-      if i = Array.length methods then -1
-      else if String.equal methods.(i).Insn.jname name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let decode_method (m : Insn.methd) =
-    let slots = max 1 m.Insn.jslots in
-    let slot s k = if s >= 0 && s < slots then k s else OBadSlot in
-    let op = function
-      | Insn.Ldc (Ast.LString s) -> OString s
-      | Insn.Ldc l -> OConst (value_of_lit l)
-      | Insn.Load s -> slot s (fun s -> OLoad s)
-      | Insn.Store s -> slot s (fun s -> OStore s)
-      | Insn.ALoad -> OALoad
-      | Insn.AStore -> OAStore
-      | Insn.ArrayLength -> OArrayLength
-      | Insn.NewArr (t, dims) -> ONewArr (t, dims)
-      | Insn.NewTup n -> ONewTup n
-      | Insn.TupGet i -> OTupGet i
-      | Insn.GetField f -> (
-        match List.assoc_opt f inst.ifields with
-        | Some v -> OField v
-        | None -> ONoField f)
-      | Insn.Bin ((Ast.TInt | Ast.TChar | Ast.TBoolean), op) -> OIntBin op
-      | Insn.Bin (ty, op) -> OBin (ty, op)
-      | Insn.Un (ty, op) -> OUn (ty, op)
-      | Insn.Conv (_, ty) -> OConv ty
-      | Insn.MathOp f ->
-        if Insn.math_arity f = 2 then OMath2 (math2 f) else OMath1 (math1 f)
-      | Insn.Invoke (callee, n) -> OInvoke (index callee, callee, n)
-      | Insn.CmpJmp ((Ast.TInt | Ast.TChar), c, l) -> OIntCmpJmp (c, l)
-      | Insn.CmpJmp (ty, c, l) -> OCmpJmp (ty, c, l)
-      | Insn.IfFalse l -> OIfFalse l
-      | Insn.Goto l -> OGoto l
-      | Insn.Ret -> ORet
-      | Insn.RetVoid -> ORetVoid
-      | Insn.Dup -> ODup
-      | Insn.Pop -> OPop
-    in
-    { d_name = m.Insn.jname;
-      d_argc = List.length m.Insn.jargs;
-      d_slots = slots;
-      d_code = Array.map op m.Insn.jcode;
-      d_cost = Array.map (insn_cost cost) m.Insn.jcode }
-  in
-  Array.map decode_method methods
-
-(* ---------- execution ---------- *)
-
-(* One run's machine: every frame's operands live on one stack and every
-   frame's locals in one array, so a call allocates nothing. A frame owns
-   the stack above its base [sb] and the locals from its base [bp]. *)
+(* A program's machine, shared by its runs: every frame's locals and
+   temporaries live in one array, a frame owning [d_slots] cells from its
+   base [bp], so a call allocates nothing. *)
 type machine = {
-  methods : dmethod array;
-  mutable stack : value array;
-  mutable sp : int;
-  mutable locals : value array;
-  mutable lp : int;  (* first local past the innermost frame *)
   mutable fuel : int;  (* instructions left *)
+  mutable locals : value array;
+  mutable lp : int;  (* first cell past the innermost frame *)
 }
 
 (* Only float fields, so the sum is stored unboxed. *)
 type cycles = { mutable cycles : float }
+
+type meth = {
+  d_name : string;
+  d_argc : int;
+  d_frame : int;  (* local slots, at least 1; the temporaries follow *)
+  d_slots : int;  (* local slots and temporaries *)
+  mutable d_entry : int -> value;  (* runs the method on the frame at bp *)
+}
+
+type program = { methods : meth array; mc : machine; cy : cycles }
+
+let fuel_out () = err "fuel exhausted (infinite loop?)"
+
+(* Charge one instruction, fuel first, so a run stops at the exact
+   instruction that exhausts it. *)
+let[@inline] tick mc cy c =
+  mc.fuel <- mc.fuel - 1;
+  if mc.fuel <= 0 then fuel_out ();
+  cy.cycles <- cy.cycles +. c
+
+(* Control reaching a pc outside the code: the fetch consumes fuel and
+   fails. *)
+let fault mc (_ : int) : value =
+  mc.fuel <- mc.fuel - 1;
+  if mc.fuel <= 0 then fuel_out ();
+  invalid_arg "index out of bounds"
+
+let bad_slot () = invalid_arg "index out of bounds"
 
 let grow a need =
   let b = Array.make (max need (2 * Array.length a)) VUnit in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let push mc v =
-  if mc.sp = Array.length mc.stack then mc.stack <- grow mc.stack (mc.sp + 1);
-  mc.stack.(mc.sp) <- v;
-  mc.sp <- mc.sp + 1
+(* Push [m]'s frame with its first [args] cells still to store; the
+   rest of its locals start as [VUnit]. *)
+let enter mc m args =
+  let bp = mc.lp in
+  let top = bp + m.d_slots in
+  if top > Array.length mc.locals then mc.locals <- grow mc.locals top;
+  let l = mc.locals in
+  for i = args to m.d_frame - 1 do
+    Array.unsafe_set l (bp + i) VUnit
+  done;
+  mc.lp <- top;
+  bp
 
-let underflow m = err "%s: operand stack underflow" m.d_name
+let run_frame mc m bp =
+  let v = m.d_entry bp in
+  mc.lp <- bp;
+  v
 
-let pop mc m sb =
-  if mc.sp <= sb then underflow m;
-  mc.sp <- mc.sp - 1;
-  mc.stack.(mc.sp)
+let out_of_bounds name idx arr =
+  err "%s: index %d out of bounds (len %d)" name idx (Array.length arr.adata)
 
-let bounds m idx arr =
-  if idx < 0 || idx >= Array.length arr.adata then
-    err "%s: index %d out of bounds (len %d)" m.d_name idx
-      (Array.length arr.adata)
+let[@inline] aload name arr idx =
+  if idx < 0 || idx >= Array.length arr.adata then out_of_bounds name idx arr;
+  Array.unsafe_get arr.adata idx
 
-let int_cond c (x : int) (y : int) =
-  match c with
+let[@inline] astore name arr idx v =
+  if idx < 0 || idx >= Array.length arr.adata then out_of_bounds name idx arr;
+  Array.unsafe_set arr.adata idx v
+
+(* [as_int] and [as_arr] with their common case inline. *)
+let[@inline] to_int = function VInt n -> n | v -> as_int v
+
+let[@inline] to_arr = function VArr a -> a | v -> as_arr v
+
+(* Int arithmetic and compares, the common cases inline. *)
+let[@inline] arith op x y =
+  match op with
+  | Ast.Add -> x + y
+  | Ast.Sub -> x - y
+  | Ast.Mul -> x * y
+  | op -> int_binop op x y
+
+let[@inline] test cond (x : int) y =
+  match cond with
   | Insn.Clt -> x < y
   | Insn.Cle -> x <= y
   | Insn.Cgt -> x > y
@@ -498,167 +466,533 @@ let int_cond c (x : int) (y : int) =
   | Insn.Ceq -> x = y
   | Insn.Cne -> x <> y
 
-(* Instructions are charged one at a time, in execution order, so the
-   cycle sum is the same float whatever the cost model. *)
-let rec exec mc cy m bp sb pc =
-  mc.fuel <- mc.fuel - 1;
-  if mc.fuel <= 0 then err "fuel exhausted (infinite loop?)";
-  cy.cycles <- cy.cycles +. m.d_cost.(pc);
-  match m.d_code.(pc) with
-  | OConst v ->
-    push mc v;
-    exec mc cy m bp sb (pc + 1)
-  | OString s ->
-    push mc (value_of_lit (Ast.LString s));
-    exec mc cy m bp sb (pc + 1)
-  | OLoad s ->
-    push mc mc.locals.(bp + s);
-    exec mc cy m bp sb (pc + 1)
-  | OStore s ->
-    mc.locals.(bp + s) <- pop mc m sb;
-    exec mc cy m bp sb (pc + 1)
-  | OBadSlot -> invalid_arg "index out of bounds"
-  | OALoad ->
-    let idx = as_int (pop mc m sb) in
-    let arr = as_arr (pop mc m sb) in
-    bounds m idx arr;
-    push mc arr.adata.(idx);
-    exec mc cy m bp sb (pc + 1)
-  | OAStore ->
-    let v = pop mc m sb in
-    let idx = as_int (pop mc m sb) in
-    let arr = as_arr (pop mc m sb) in
-    bounds m idx arr;
-    arr.adata.(idx) <- v;
-    exec mc cy m bp sb (pc + 1)
-  | OArrayLength ->
-    let arr = as_arr (pop mc m sb) in
-    push mc (VInt (Array.length arr.adata));
-    exec mc cy m bp sb (pc + 1)
-  | ONewArr (t, dims) ->
-    push mc (alloc_array t dims);
-    exec mc cy m bp sb (pc + 1)
-  | ONewTup n ->
-    if mc.sp - sb < n then underflow m;
-    mc.sp <- mc.sp - n;
-    push mc (VTuple (Array.sub mc.stack mc.sp n));
-    exec mc cy m bp sb (pc + 1)
-  | OTupGet i -> (
-    match pop mc m sb with
-    | VTuple t when i < Array.length t ->
-      push mc t.(i);
-      exec mc cy m bp sb (pc + 1)
-    | _ -> err "%s: tupget on non-tuple" m.d_name)
-  | OField v ->
-    push mc v;
-    exec mc cy m bp sb (pc + 1)
-  | ONoField f -> err "%s: no field %s" m.d_name f
-  | OIntBin op ->
-    let b = pop mc m sb in
-    let a = pop mc m sb in
-    push mc
-      (match (a, b) with
-      | VInt x, VInt y -> VInt (int_binop op x y)
-      | _ -> eval_bin Ast.TInt op a b);
-    exec mc cy m bp sb (pc + 1)
-  | OBin (ty, op) ->
-    let b = pop mc m sb in
-    let a = pop mc m sb in
-    push mc (eval_bin ty op a b);
-    exec mc cy m bp sb (pc + 1)
-  | OUn (ty, op) ->
-    let a = pop mc m sb in
-    push mc
-      (match (op, ty) with
-      | Ast.Neg, Ast.TFloat -> VFloat (-.as_float a)
-      | Ast.Neg, Ast.TDouble -> VDouble (-.as_float a)
-      | Ast.Neg, Ast.TLong -> VLong (Int64.neg (as_long a))
-      | Ast.Neg, _ -> VInt (-as_int a)
-      | Ast.Not, _ -> VBool (not (as_bool a))
-      | Ast.BNot, Ast.TLong -> VLong (Int64.lognot (as_long a))
-      | Ast.BNot, _ -> VInt (lnot (as_int a)));
-    exec mc cy m bp sb (pc + 1)
-  | OConv ty ->
-    let v = pop mc m sb in
-    push mc (convert ty v);
-    exec mc cy m bp sb (pc + 1)
-  | OMath1 f ->
-    let x = pop mc m sb in
-    push mc (f x);
-    exec mc cy m bp sb (pc + 1)
-  | OMath2 f ->
-    let b = pop mc m sb in
-    let a = pop mc m sb in
-    push mc (f a b);
-    exec mc cy m bp sb (pc + 1)
-  | OInvoke (ci, name, n) ->
-    if mc.sp - sb < n then underflow m;
-    if ci < 0 then err "no method %s" name;
-    (match call mc cy mc.methods.(ci) n with
-    | VUnit -> ()
-    | v -> push mc v);
-    exec mc cy m bp sb (pc + 1)
-  | OIntCmpJmp (c, l) ->
-    let b = pop mc m sb in
-    let a = pop mc m sb in
-    let taken =
-      match (a, b) with
-      | VInt x, VInt y -> int_cond c x y
-      | _ -> compare_values Ast.TInt c a b
-    in
-    exec mc cy m bp sb (if taken then l else pc + 1)
-  | OCmpJmp (ty, c, l) ->
-    let b = pop mc m sb in
-    let a = pop mc m sb in
-    exec mc cy m bp sb (if compare_values ty c a b then l else pc + 1)
-  | OIfFalse l ->
-    exec mc cy m bp sb (if as_bool (pop mc m sb) then pc + 1 else l)
-  | OGoto l -> exec mc cy m bp sb l
-  | ORet ->
-    let v = pop mc m sb in
-    mc.sp <- sb;
+(* A compiled tree: Int-valued trees (Int constants, arithmetic, lengths,
+   conversions) run unboxed. *)
+type operand = I of (int -> int) | V of (int -> value)
+
+let boxed = function V f -> f | I f -> fun bp -> VInt (f bp)
+
+(* Int consumers of two operands: both run in order, then the consumer
+   is charged, and only then is a boxed operand unboxed, the right one
+   first, as the stack machine popped them. [bin2] computes, [cmp2]
+   compares. *)
+let bin2 mc cy c op a b : int -> int =
+  match (a, b) with
+  | I fa, I fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      arith op x y
+  | I fa, V fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      arith op x (to_int y)
+  | V fa, I fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      arith op (to_int x) y
+  | V fa, V fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      let y = to_int y in
+      arith op (to_int x) y
+
+let cmp2 mc cy c cond a b : int -> bool =
+  match (a, b) with
+  | I fa, I fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      test cond x y
+  | I fa, V fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      test cond x (to_int y)
+  | V fa, I fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      test cond (to_int x) y
+  | V fa, V fb ->
+    fun bp ->
+      let x = fa bp in
+      let y = fb bp in
+      tick mc cy c;
+      let y = to_int y in
+      test cond (to_int x) y
+
+(* One method being compiled. *)
+type cx = {
+  mc : machine;
+  cy : cycles;
+  find : string -> meth option;
+  fields : (string * value) list;
+  m : meth;
+  code : Insn.insn array;
+  cost : float array;
+  cfg : Cfg.t;
+  blocks : (int -> value) array;
+      (* one closure per block, then the fault of a pc outside the code *)
+}
+
+(* The block a jump to [pc] enters. *)
+let target cx pc =
+  if pc >= 0 && pc < Array.length cx.code then cx.cfg.Cfg.block_of_pc.(pc)
+  else Array.length cx.blocks - 1
+
+let malformed cx pc =
+  invalid_arg
+    (Format.asprintf "Interp: %s: no tree shape for %a" cx.m.d_name
+       Insn.pp_insn cx.code.(pc))
+
+(* An Int constant's pc and box: wherever a value is wanted it is boxed
+   once, as the stack machine's constants were. *)
+let int_const cx = function
+  | Tree.Op (pc, []) -> (
+    match cx.code.(pc) with
+    | Insn.Ldc (Ast.LInt n) -> Some (pc, VInt n)
+    | _ -> None)
+  | Tree.Op _ | Tree.Temp _ -> None
+
+let const cx pc v =
+  let mc = cx.mc and cy = cx.cy and c = cx.cost.(pc) in
+  fun _ ->
+    tick mc cy c;
     v
-  | ORetVoid ->
-    mc.sp <- sb;
-    VUnit
-  | ODup ->
-    let v = pop mc m sb in
-    push mc v;
-    push mc v;
-    exec mc cy m bp sb (pc + 1)
-  | OPop ->
-    ignore (pop mc m sb);
-    exec mc cy m bp sb (pc + 1)
 
-(* Run [m] on the [n] arguments at the top of the stack, which it pops. *)
-and call mc cy m n =
-  if n <> m.d_argc then err "%s: arity mismatch" m.d_name;
-  let sb = mc.sp - n and bp = mc.lp in
-  let top = bp + m.d_slots in
-  if top > Array.length mc.locals then mc.locals <- grow mc.locals top;
-  for i = 0 to m.d_slots - 1 do
-    mc.locals.(bp + i) <- (if i < n then mc.stack.(sb + i) else VUnit)
-  done;
-  mc.sp <- sb;
-  mc.lp <- top;
-  let v = exec mc cy m bp sb 0 in
-  mc.lp <- bp;
-  v
+let rec operand cx = function
+  | Tree.Temp t ->
+    let mc = cx.mc and slot = cx.m.d_frame + t in
+    V (fun bp -> Array.unsafe_get mc.locals (bp + slot))
+  | Tree.Op (pc, args) -> node cx pc args
 
-let run_method ?(cost = default_cost_model) ?(fuel = 200_000_000) inst name
-    args =
-  let methods = decode cost inst in
+and value cx e =
+  match int_const cx e with
+  | Some (pc, v) -> const cx pc v
+  | None -> boxed (operand cx e)
+
+and node cx pc args =
+  let mc = cx.mc and cy = cx.cy and c = cx.cost.(pc) and name = cx.m.d_name in
+  match (cx.code.(pc), args) with
+  | Insn.Ldc (Ast.LInt n), [] ->
+    I
+      (fun _ ->
+        tick mc cy c;
+        n)
+  | Insn.Ldc (Ast.LString s), [] ->
+    V
+      (fun _ ->
+        tick mc cy c;
+        value_of_lit (Ast.LString s))
+  | Insn.Ldc l, [] -> V (const cx pc (value_of_lit l))
+  | Insn.Load s, [] ->
+    if s < 0 || s >= cx.m.d_frame then
+      V
+        (fun _ ->
+          tick mc cy c;
+          bad_slot ())
+    else
+      V
+        (fun bp ->
+          tick mc cy c;
+          Array.unsafe_get mc.locals (bp + s))
+  | Insn.ALoad, [ a; i ] -> (
+    let fa = value cx a in
+    match operand cx i with
+    | I fi ->
+      V
+        (fun bp ->
+          let arr = fa bp in
+          let idx = fi bp in
+          tick mc cy c;
+          aload name (to_arr arr) idx)
+    | V fi ->
+      V
+        (fun bp ->
+          let arr = fa bp in
+          let idx = fi bp in
+          tick mc cy c;
+          let idx = to_int idx in
+          aload name (to_arr arr) idx))
+  | Insn.ArrayLength, [ a ] ->
+    let fa = value cx a in
+    I
+      (fun bp ->
+        let arr = fa bp in
+        tick mc cy c;
+        Array.length (to_arr arr).adata)
+  | Insn.NewArr (t, dims), [] ->
+    V
+      (fun _ ->
+        tick mc cy c;
+        alloc_array t dims)
+  | Insn.NewTup _, args ->
+    let fs = Array.of_list (List.map (value cx) args) in
+    let n = Array.length fs in
+    V
+      (fun bp ->
+        let vs = Array.make n VUnit in
+        for i = 0 to n - 1 do
+          vs.(i) <- fs.(i) bp
+        done;
+        tick mc cy c;
+        VTuple vs)
+  | Insn.TupGet i, [ t ] ->
+    let ft = value cx t in
+    V
+      (fun bp ->
+        let v = ft bp in
+        tick mc cy c;
+        match v with
+        | VTuple t when i < Array.length t -> t.(i)
+        | _ -> err "%s: tupget on non-tuple" name)
+  | Insn.GetField f, [] -> (
+    match List.assoc_opt f cx.fields with
+    | Some v ->
+      V
+        (fun _ ->
+          tick mc cy c;
+          v)
+    | None ->
+      V
+        (fun _ ->
+          tick mc cy c;
+          err "%s: no field %s" name f))
+  | Insn.Bin ((Ast.TInt | Ast.TChar | Ast.TBoolean), op), [ a; b ] ->
+    I (bin2 mc cy c op (operand cx a) (operand cx b))
+  | Insn.Bin (ty, op), [ a; b ] ->
+    let fa = value cx a and fb = value cx b in
+    V
+      (fun bp ->
+        let x = fa bp in
+        let y = fb bp in
+        tick mc cy c;
+        eval_bin ty op x y)
+  | Insn.Un (ty, op), [ a ] ->
+    let fa = value cx a in
+    V
+      (fun bp ->
+        let x = fa bp in
+        tick mc cy c;
+        eval_un ty op x)
+  | Insn.Conv (_, Ast.TInt), [ a ] -> (
+    match operand cx a with
+    | I fa ->
+      I
+        (fun bp ->
+          let x = fa bp in
+          tick mc cy c;
+          x)
+    | V fa ->
+      I
+        (fun bp ->
+          let x = fa bp in
+          tick mc cy c;
+          conv_int x))
+  | Insn.Conv (_, ty), [ a ] ->
+    let fa = value cx a in
+    V
+      (fun bp ->
+        let x = fa bp in
+        tick mc cy c;
+        convert ty x)
+  | Insn.MathOp f, [ a ] ->
+    let g = math1 f and fa = value cx a in
+    V
+      (fun bp ->
+        let x = fa bp in
+        tick mc cy c;
+        g x)
+  | Insn.MathOp f, [ a; b ] ->
+    let g = math2 f and fa = value cx a and fb = value cx b in
+    V
+      (fun bp ->
+        let x = fa bp in
+        let y = fb bp in
+        tick mc cy c;
+        g x y)
+  | Insn.Invoke (callee, _), args -> V (call cx pc callee args)
+  | Insn.Dup, [ a ] ->
+    let fa = value cx a in
+    V
+      (fun bp ->
+        let x = fa bp in
+        tick mc cy c;
+        x)
+  | _ -> malformed cx pc
+
+(* Run the arguments in order, charge the invoke, then enter the
+   callee's frame above the caller's. *)
+and call cx pc callee args : int -> value =
+  let mc = cx.mc and cy = cx.cy and c = cx.cost.(pc) in
+  let fs = Array.of_list (List.map (value cx) args) in
+  let n = Array.length fs in
+  let eval bp =
+    let vs = Array.make n VUnit in
+    for i = 0 to n - 1 do
+      vs.(i) <- fs.(i) bp
+    done;
+    vs
+  in
+  match cx.find callee with
+  | None ->
+    fun bp ->
+      ignore (eval bp);
+      tick mc cy c;
+      err "no method %s" callee
+  | Some m when m.d_argc <> n ->
+    fun bp ->
+      ignore (eval bp);
+      tick mc cy c;
+      err "%s: arity mismatch" m.d_name
+  | Some m -> (
+    let stored = min n m.d_frame in
+    match fs with
+    | [| f0 |] when stored = 1 ->
+      fun bp ->
+        let v0 = f0 bp in
+        tick mc cy c;
+        let bp' = enter mc m 1 in
+        Array.unsafe_set mc.locals bp' v0;
+        run_frame mc m bp'
+    | [| f0; f1 |] when stored = 2 ->
+      fun bp ->
+        let v0 = f0 bp in
+        let v1 = f1 bp in
+        tick mc cy c;
+        let bp' = enter mc m 2 in
+        let l = mc.locals in
+        Array.unsafe_set l bp' v0;
+        Array.unsafe_set l (bp' + 1) v1;
+        run_frame mc m bp'
+    | _ ->
+      fun bp ->
+        let vs = eval bp in
+        tick mc cy c;
+        let bp' = enter mc m stored in
+        Array.blit vs 0 mc.locals bp' stored;
+        run_frame mc m bp')
+
+(* A statement, then [k]. *)
+and stmt cx s (k : int -> value) : int -> value =
+  let mc = cx.mc and cy = cx.cy in
+  match s with
+  | Tree.Bind (t, e) ->
+    let slot = cx.m.d_frame + t and f = value cx e in
+    fun bp ->
+      let v = f bp in
+      Array.unsafe_set mc.locals (bp + slot) v;
+      k bp
+  | Tree.Effect (pc, args) -> (
+    let c = cx.cost.(pc) and name = cx.m.d_name in
+    match (cx.code.(pc), args) with
+    | Insn.Store s, [ e ] -> (
+      if s < 0 || s >= cx.m.d_frame then
+        let f = value cx e in
+        fun bp ->
+          ignore (f bp);
+          tick mc cy c;
+          bad_slot ()
+      else
+        (* A computed Int is boxed here, where it is stored, not in a
+           wrapper. *)
+        match
+          if Option.is_none (int_const cx e) then operand cx e
+          else V (value cx e)
+        with
+        | I f ->
+          fun bp ->
+            let x = f bp in
+            tick mc cy c;
+            Array.unsafe_set mc.locals (bp + s) (VInt x);
+            k bp
+        | V f ->
+          fun bp ->
+            let v = f bp in
+            tick mc cy c;
+            Array.unsafe_set mc.locals (bp + s) v;
+            k bp)
+    | Insn.AStore, [ a; i; v ] -> (
+      let fa = value cx a and fv = value cx v in
+      match operand cx i with
+      | I fi ->
+        fun bp ->
+          let arr = fa bp in
+          let idx = fi bp in
+          let x = fv bp in
+          tick mc cy c;
+          astore name (to_arr arr) idx x;
+          k bp
+      | V fi ->
+        fun bp ->
+          let arr = fa bp in
+          let idx = fi bp in
+          let x = fv bp in
+          tick mc cy c;
+          let idx = to_int idx in
+          astore name (to_arr arr) idx x;
+          k bp)
+    | Insn.Pop, [ e ] ->
+      let f = value cx e in
+      fun bp ->
+        ignore (f bp);
+        tick mc cy c;
+        k bp
+    | Insn.Invoke (callee, _), args ->
+      let f = call cx pc callee args in
+      fun bp ->
+        ignore (f bp);
+        k bp
+    | _ -> malformed cx pc)
+
+(* How a block ends: a branch picks the next block's closure. *)
+and exit cx (b : Cfg.block) : Tree.exit -> int -> value =
+  let mc = cx.mc and cy = cx.cy and blocks = cx.blocks in
+  function
+  | Tree.Fall ->
+    let j = target cx (b.Cfg.last + 1) in
+    fun bp -> blocks.(j) bp
+  | Tree.Underflow pc -> (
+    let c = cx.cost.(pc) and name = cx.m.d_name in
+    match cx.code.(pc) with
+    | Insn.Store s when s < 0 || s >= cx.m.d_frame ->
+      fun _ ->
+        tick mc cy c;
+        bad_slot ()
+    | _ ->
+      fun _ ->
+        tick mc cy c;
+        err "%s: operand stack underflow" name)
+  | Tree.Branch (pc, args) -> (
+    let c = cx.cost.(pc) in
+    let next = target cx (pc + 1) in
+    match (cx.code.(pc), args) with
+    | Insn.Goto l, [] ->
+      let j = target cx l in
+      fun bp ->
+        tick mc cy c;
+        blocks.(j) bp
+    | Insn.CmpJmp ((Ast.TInt | Ast.TChar), cond, l), [ a; b ] ->
+      let j = target cx l in
+      let test = cmp2 mc cy c cond (operand cx a) (operand cx b) in
+      fun bp -> blocks.(if test bp then j else next) bp
+    | Insn.CmpJmp (ty, cond, l), [ a; b ] ->
+      let j = target cx l in
+      let fa = value cx a and fb = value cx b in
+      fun bp ->
+        let x = fa bp in
+        let y = fb bp in
+        tick mc cy c;
+        blocks.(if compare_values ty cond x y then j else next) bp
+    | Insn.IfFalse l, [ a ] ->
+      let j = target cx l in
+      let fa = value cx a in
+      fun bp ->
+        let x = fa bp in
+        tick mc cy c;
+        blocks.(if as_bool x then next else j) bp
+    | Insn.Ret, [ a ] ->
+      let fa = value cx a in
+      fun bp ->
+        let v = fa bp in
+        tick mc cy c;
+        v
+    | Insn.RetVoid, [] ->
+      fun _ ->
+        tick mc cy c;
+        VUnit
+    | _ -> malformed cx pc)
+
+let load ?(cost = default_cost_model) inst =
+  let cls = inst.icls in
+  let mc = { fuel = 0; locals = Array.make 64 VUnit; lp = 0 }
+  and cy = { cycles = 0.0 } in
+  let jms = Array.of_list cls.Insn.jmethods in
+  let shapes =
+    Array.map
+      (fun (jm : Insn.methd) ->
+        let code = jm.Insn.jcode in
+        if Array.length code = 0 then None
+        else
+          let cfg = Cfg.build code in
+          Some
+            ( cfg,
+              Array.map
+                (fun (b : Cfg.block) ->
+                  Tree.of_block cls code ~first:b.Cfg.first ~last:b.Cfg.last)
+                cfg.Cfg.blocks ))
+      jms
+  in
+  let methods =
+    Array.mapi
+      (fun i (jm : Insn.methd) ->
+        let frame = max 1 jm.Insn.jslots in
+        let temps =
+          match shapes.(i) with
+          | None -> 0
+          | Some (_, trees) ->
+            Array.fold_left (fun t (b : Tree.block) -> max t b.Tree.temps) 0
+              trees
+        in
+        { d_name = jm.Insn.jname;
+          d_argc = List.length jm.Insn.jargs;
+          d_frame = frame;
+          d_slots = frame + temps;
+          d_entry = fault mc })
+      jms
+  in
+  let find name = Array.find_opt (fun m -> String.equal m.d_name name) methods in
+  Array.iteri
+    (fun i (jm : Insn.methd) ->
+      match shapes.(i) with
+      | None -> ()
+      | Some (cfg, trees) ->
+        let nb = Array.length cfg.Cfg.blocks in
+        let cx =
+          { mc; cy; find; fields = inst.ifields; m = methods.(i);
+            code = jm.Insn.jcode;
+            cost = Array.map (insn_cost cost) jm.Insn.jcode;
+            cfg;
+            blocks = Array.make (nb + 1) (fault mc) }
+        in
+        Array.iteri
+          (fun j (b : Cfg.block) ->
+            let tb = trees.(j) in
+            cx.blocks.(j) <-
+              List.fold_right (stmt cx) tb.Tree.stmts (exit cx b tb.Tree.exit))
+          cfg.Cfg.blocks;
+        methods.(i).d_entry <- cx.blocks.(0))
+    jms;
+  { methods; mc; cy }
+
+let run ?(fuel = 200_000_000) p name args =
   let m =
-    match Array.find_opt (fun m -> String.equal m.d_name name) methods with
+    match Array.find_opt (fun m -> String.equal m.d_name name) p.methods with
     | Some m -> m
     | None -> err "no method %s" name
   in
-  let stack = Array.of_list args in
-  let n = Array.length stack in
-  let mc =
-    { methods; stack = grow stack 64; sp = n; locals = Array.make 64 VUnit;
-      lp = 0; fuel }
-  in
-  let cy = { cycles = 0.0 } in
-  let rvalue = call mc cy m n in
-  { rvalue; rcycles = cy.cycles; rinsns = fuel - mc.fuel }
+  let args = Array.of_list args in
+  let n = Array.length args in
+  if n <> m.d_argc then err "%s: arity mismatch" m.d_name;
+  let mc = p.mc in
+  mc.fuel <- fuel;
+  mc.lp <- 0;
+  p.cy.cycles <- 0.0;
+  let stored = min n m.d_frame in
+  let bp = enter mc m stored in
+  Array.blit args 0 mc.locals bp stored;
+  let rvalue = run_frame mc m bp in
+  { rvalue; rcycles = p.cy.cycles; rinsns = fuel - mc.fuel }
+
+let run_method ?cost ?fuel inst name args = run ?fuel (load ?cost inst) name args

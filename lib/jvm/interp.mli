@@ -3,7 +3,9 @@ module Ast = S2fa_scala.Ast
 (** Bytecode interpreter with an instruction-level cost model.
 
     This is the "JVM" of the reproduction: it executes kernels for
-    functional results and accounts a cycle cost per instruction. The cost
+    functional results and accounts a cycle cost per instruction. A
+    class is compiled once ({!load}) into closures over the expression
+    trees of its basic blocks and then run per task ({!run}). The cost
     table reflects a JIT-compiled single JVM thread (the Fig. 4 baseline):
     cheap register traffic, expensive division/transcendentals, and a
     visible overhead for object (tuple) allocation and virtual calls —
@@ -71,17 +73,42 @@ type result = {
   rinsns : int;     (** Bytecode instructions executed. *)
 }
 
-val run_method :
-  ?cost:cost_model -> ?fuel:int -> instance -> string -> value list -> result
-(** [run_method inst name args] executes method [name]. [fuel] bounds the
-    number of executed instructions (default 200 million); exhausting it
+type program
+(** A class compiled against one instance and one cost model, ready to
+    run any number of times. Its runs share one machine, so a program
+    must not run on two domains at once. *)
+
+val load : ?cost:cost_model -> instance -> program
+(** Compile every method of the instance's class once. Each basic block
+    ({!Cfg}) becomes the expression trees of {!Tree}, and each tree a
+    closure: there is no operand stack. Int arithmetic, indices and
+    compares run on unboxed [int]s; callees are resolved to their
+    compiled methods, field reads to their values, constants to
+    prebuilt values and each instruction's cost to a float of [cost]
+    (default {!default_cost_model}). Loading never fails: what the code
+    does wrong (an underflow, a missing callee or field, a slot or jump
+    target outside the frame or code) raises when it is reached. *)
+
+val run : ?fuel:int -> program -> string -> value list -> result
+(** [run p name args] executes method [name]. [fuel] bounds the number
+    of executed instructions (default 200 million); exhausting it
     raises [Runtime_error "fuel exhausted (infinite loop?)"], so a run
     needs exactly [rinsns + 1] fuel.
 
-    Each call first decodes the class once against [inst] and [cost]:
-    callees become method indices, field reads their values, constants
-    pre-built values, and every instruction's cost a precomputed float.
-    The run then uses one operand stack and one locals array for all of
-    its frames, so calls allocate nothing, and charges each instruction
-    in execution order, so [rcycles] is the same float sum whatever the
-    cost model. *)
+    Every tree node charges its instruction's fuel and cycles after its
+    operands and before it acts, so instructions are charged one at a
+    time in execution order: [rcycles] is the float sum of the executed
+    instructions' costs in that order, whatever the cost model, and a
+    failing run raises at the instruction that fails. All frames share
+    one locals array, so calls allocate nothing.
+
+    The trees take two facts of verified code ({!Verify}) as given: an
+    invoke yields a value exactly when its callee is declared to return
+    one, and no value crosses a block boundary. A value a block leaves on
+    the stack is evaluated and dropped; a block that pops more than it
+    pushed raises [Runtime_error "<method>: operand stack underflow"]
+    when it reaches that instruction. *)
+
+val run_method :
+  ?cost:cost_model -> ?fuel:int -> instance -> string -> value list -> result
+(** [run_method ?cost ?fuel inst] is [run ?fuel (load ?cost inst)]. *)

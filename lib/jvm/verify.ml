@@ -4,36 +4,14 @@ exception Verify_error of string
 
 let err fmt = Printf.ksprintf (fun m -> raise (Verify_error m)) fmt
 
-(* Net stack effect of an instruction, with the number of values it pops
-   (to detect underflow separately from the net effect). *)
-let stack_effect cls = function
-  | Insn.Ldc _ -> (0, 1)
-  | Insn.Load _ -> (0, 1)
-  | Insn.Store _ -> (1, 0)
-  | Insn.ALoad -> (2, 1)
-  | Insn.AStore -> (3, 0)
-  | Insn.ArrayLength -> (1, 1)
-  | Insn.NewArr _ -> (0, 1)
-  | Insn.NewTup n -> (n, 1)
-  | Insn.TupGet _ -> (1, 1)
-  | Insn.GetField _ -> (0, 1)
-  | Insn.Bin _ -> (2, 1)
-  | Insn.Un _ -> (1, 1)
-  | Insn.Conv _ -> (1, 1)
-  | Insn.MathOp f -> (Insn.math_arity f, 1)
-  | Insn.Invoke (name, n) -> (
-    match Insn.find_jmethod cls name with
-    | None -> err "invoke of unknown method %s" name
-    | Some m ->
-      let pushes = if Ast.equal_ty m.Insn.jret Ast.TUnit then 0 else 1 in
-      (n, pushes))
-  | Insn.CmpJmp _ -> (2, 0)
-  | Insn.IfFalse _ -> (1, 0)
-  | Insn.Goto _ -> (0, 0)
-  | Insn.Ret -> (1, 0)
-  | Insn.RetVoid -> (0, 0)
-  | Insn.Dup -> (1, 2)
-  | Insn.Pop -> (1, 0)
+(* Stack effect of an instruction; an invoke must name a method of the
+   class. *)
+let stack_effect cls ins =
+  (match ins with
+  | Insn.Invoke (name, _) when Insn.find_jmethod cls name = None ->
+    err "invoke of unknown method %s" name
+  | _ -> ());
+  Insn.stack_effect cls ins
 
 let jump_targets = function
   | Insn.CmpJmp (_, _, l) | Insn.IfFalse l | Insn.Goto l -> [ l ]

@@ -126,8 +126,7 @@ let run_serve ?(faulty = true) sc ~devices apps requests =
 
 let standalone (apps : Fleet.app array) (r : Fleet.request) =
   let a = apps.(r.Fleet.rq_app) in
-  (Blaze.map_jvm a.Fleet.ap_cls ~fields:a.Fleet.ap_fields
-     [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
+  (Blaze.map_jvm a.Fleet.ap_jvm [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
 
 let hit_rate (oc : Fleet.outcome) =
   let h = oc.Fleet.oc_report.Fleet.rp_deadline_hits

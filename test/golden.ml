@@ -12,7 +12,12 @@
    - [value_path.md5] was produced by the per-instruction JVM
      interpreter and the environment-table C interpreter that the
      decode-once interpreters replaced, so a match is the old-vs-new
-     value-path differential.
+     value-path differential; its [jvm-frac/] and [jvm-hand/] cases
+     were recorded by the operand-stack interpreter that the
+     tree-compiled one replaced.
+   - [b2c.md5] holds the C the decompiler emitted while it still ran
+     the operand stack itself, before it mapped the shared
+     stack-to-tree pass's trees.
    - [events.jsonl] holds the JSONL encoding of one trace event of
      every kind, recorded by the hand-written per-kind encoder that the
      event table replaced.

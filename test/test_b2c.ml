@@ -7,12 +7,15 @@ module Compile = S2fa_jvm.Compile
 module Csyntax = S2fa_hlsc.Csyntax
 module Cinterp = S2fa_hlsc.Cinterp
 module Canalysis = S2fa_hlsc.Canalysis
-module Cfg = S2fa_b2c.Cfg
+module Cfg = S2fa_jvm.Cfg
 module D = S2fa_b2c.Decompile
 module Blaze = S2fa_blaze.Blaze
 module W = S2fa_workloads.Workloads
 module S2fa = S2fa_core.S2fa
 module Rng = S2fa_util.Rng
+module Seed = S2fa_dse.Seed
+module Fuzz = S2fa_fuzz.Fuzz
+module Insn = S2fa_jvm.Insn
 
 let contains hay needle =
   let hl = String.length hay and nl = String.length needle in
@@ -154,7 +157,7 @@ let run_workload_equivalence (w : W.t) () =
   let rng = Rng.create 2026 in
   let fields = w.W.w_fields rng in
   let tasks = w.W.w_gen rng 16 in
-  let jvm = Blaze.map_jvm c.S2fa.c_class ~fields tasks in
+  let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields) tasks in
   let mgr = Blaze.create_manager () in
   Blaze.register mgr (S2fa.make_accelerator c ~fields);
   let fpga = Blaze.map_accelerated mgr ~id:w.W.w_name tasks in
@@ -222,7 +225,7 @@ let prop_random_kernels_equivalent =
               { Interp.aelem = Ast.TInt;
                 adata = Array.init 8 (fun _ -> Interp.VInt (Rng.int_in rng (-9) 9)) })
       in
-      let jvm = Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+      let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
       let mgr = Blaze.create_manager () in
       Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
       let fpga = Blaze.map_accelerated mgr ~id:"g" tasks in
@@ -313,7 +316,7 @@ let prop_rich_kernels_equivalent =
                   Array.init 8 (fun _ ->
                       Interp.VDouble (Rng.float rng 4.0 -. 2.0)) })
       in
-      let jvm = Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+      let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
       let mgr = Blaze.create_manager () in
       Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
       let fpga = Blaze.map_accelerated mgr ~id:"r" tasks in
@@ -346,7 +349,7 @@ let prop_rich_kernels_tiled_equivalent =
                   Array.init 8 (fun _ ->
                       Interp.VDouble (Rng.float rng 4.0 -. 2.0)) })
       in
-      let jvm = Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+      let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
       let mgr = Blaze.create_manager () in
       Blaze.register mgr (S2fa.make_accelerator ~design:cfg c ~fields:[]);
       let fpga = Blaze.map_accelerated mgr ~id:"r" tasks in
@@ -371,7 +374,7 @@ class Wl() extends Accelerator[Int, Int] {
 |} in
   let c = S2fa.compile src in
   let tasks = Array.init 10 (fun i -> Interp.VInt (i + 2)) in
-  let jvm = Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+  let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
   let mgr = Blaze.create_manager () in
   Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
   let fpga = Blaze.map_accelerated mgr ~id:"wl" tasks in
@@ -382,6 +385,84 @@ class Wl() extends Accelerator[Int, Int] {
         true
         (Interp.equal_value v fpga.Blaze.tr_values.(i)))
     jvm.Blaze.tr_values
+
+(* ---------- emitted C against its committed golden ---------- *)
+
+(* [S2fa.emit_c] of every workload, of the test corpus kernels and of
+   50 generated kernels, flat and with [Seed.structured_seed]'s design;
+   a kernel the pipeline refuses pins its error message instead. The
+   golden ([golden/b2c.md5]) was recorded by the decompiler that ran
+   the operand stack symbolically itself, before it moved onto the
+   shared stack-to-tree pass. *)
+let emit_case name c =
+  match c () with
+  | exception S2fa.Error m -> (name, [ ("error", m) ])
+  | c ->
+    ( name,
+      [ ("flat", S2fa.emit_c c);
+        ( "structured",
+          S2fa.emit_c ~design:(Seed.structured_seed c.S2fa.c_dspace) c ) ] )
+
+(* Fuzz's capacities: every array component and field holds [len]. *)
+let compile_len ~len src () =
+  let fields =
+    match Compile.compile_source src with
+    | cls :: _ -> cls.Insn.jfields
+    | [] -> []
+  in
+  let caps = List.init 8 (fun _ -> len) in
+  S2fa.compile ~in_caps:caps ~out_caps:caps
+    ~field_caps:
+      (List.filter_map
+         (fun (f, t) ->
+           match t with Ast.TArray _ -> Some (f, len) | _ -> None)
+         fields)
+    src
+
+let corpus_dir =
+  if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
+
+let corpus_len path =
+  let header = In_channel.with_open_bin path In_channel.input_line in
+  let field = "len=" in
+  match header with
+  | None -> 4
+  | Some h ->
+    List.fold_left
+      (fun acc w ->
+        if String.starts_with ~prefix:field w then
+          int_of_string
+            (String.sub w (String.length field)
+               (String.length w - String.length field))
+        else acc)
+      4
+      (String.split_on_char ' ' h)
+
+let test_emit_golden () =
+  let workloads =
+    List.map
+      (fun (w : W.t) -> emit_case ("b2c/" ^ w.W.w_name) (fun () -> W.compile w))
+      W.all
+  in
+  let corpus =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scala")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat corpus_dir f in
+           let src = In_channel.with_open_bin path In_channel.input_all in
+           emit_case ("b2c/corpus/" ^ f)
+             (compile_len ~len:(corpus_len path) src))
+  in
+  let rng = Rng.create 1 in
+  let fuzz =
+    List.init 50 (fun i ->
+        let prog, len = Fuzz.gen_kernel rng in
+        emit_case
+          (Printf.sprintf "b2c/fuzz/%02d" i)
+          (compile_len ~len (S2fa_scala.Pretty.to_string prog)))
+  in
+  Golden.check ~golden:"b2c.md5" ~prefix:"b2c/" (workloads @ corpus @ fuzz)
 
 let () =
   Alcotest.run "b2c"
@@ -399,7 +480,8 @@ let () =
             test_decompile_layout_capacities;
           Alcotest.test_case "flat kernel" `Quick test_flat_kernel_inlines_call;
           Alcotest.test_case "nested interface rejected" `Quick
-            test_unsupported_nested_interface_array ] );
+            test_unsupported_nested_interface_array;
+          Alcotest.test_case "emitted C golden" `Quick test_emit_golden ] );
       ( "equivalence",
         List.map
           (fun (w : W.t) ->

@@ -147,7 +147,7 @@ module Interp = S2fa_jvm.Interp
 
 let end_to_end ?operator ?(in_caps = []) ?(out_caps = []) src id tasks =
   let c = S2fa.compile ?operator ~in_caps ~out_caps src in
-  let jvm = Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+  let jvm = Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
   let mgr = Blaze.create_manager () in
   Blaze.register mgr (S2fa.make_accelerator c ~fields:[]);
   let fpga = Blaze.map_accelerated mgr ~id tasks in

@@ -31,7 +31,7 @@ let scenario =
    executor would compute. *)
 let standalone (apps : Fleet.app array) (r : Fleet.request) =
   let a = apps.(r.Fleet.rq_app) in
-  (Blaze.map_jvm a.Fleet.ap_cls ~fields:a.Fleet.ap_fields
+  (Blaze.map_jvm a.Fleet.ap_jvm
      [| r.Fleet.rq_payload |]).Blaze.tr_values.(0)
 
 let check_differential ?(msg = "request") apps requests

@@ -246,7 +246,7 @@ let test_workload_transformed_equivalence () =
   in
   let rng = Rng.create 5 in
   let tasks = w.W.w_gen rng 6 in
-  let jvm = S2fa_blaze.Blaze.map_jvm c.S2fa.c_class ~fields:[] tasks in
+  let jvm = S2fa_blaze.Blaze.map_jvm (S2fa.jvm_program c ~fields:[]) tasks in
   let mgr = S2fa_blaze.Blaze.create_manager () in
   S2fa_blaze.Blaze.register mgr
     (S2fa.make_accelerator ~design:cfg c ~fields:[]);
